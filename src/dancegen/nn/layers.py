@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import ParameterError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
 
@@ -42,9 +43,11 @@ class Module:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, p in self.named_parameters(prefix):
+            if name not in arrays:
+                raise ParameterError(f"missing array {name}")
             src = arrays[name]
             if src.shape != p.data.shape:
-                raise ValueError(f"shape mismatch for {name}: {src.shape} vs {p.data.shape}")
+                raise ShapeError(f"shape mismatch for {name}: {src.shape} vs {p.data.shape}")
             p.data = src.astype(np.float64)
 
     def zero_grad(self) -> None:

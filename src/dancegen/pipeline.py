@@ -109,7 +109,7 @@ class RunConfig:
             seed=d.get("seed", 0),
             out_dir=d.get("out_dir", "run"),
             corpus=CorpusConfig.from_dict(d["corpus"]) if "corpus" in d else CorpusConfig(),
-            hrvq=TokenizerConfig(**d.get("hrvq", {})),
+            hrvq=TokenizerConfig.from_dict(d.get("hrvq", {})),
             mmr_body=RetrievalConfig(**{**{"variant": "body"}, **d.get("mmr_body", {})}),
             mmr_whole=RetrievalConfig(**{**{"variant": "whole"}, **d.get("mmr_whole", {})}),
             magm=GeneratorConfig(**d.get("magm", {})),

@@ -1,22 +1,27 @@
 """Motion tokenizer: per-part temporal encoders, stacked residual quantizers
-with a body->hands->face conditioning chain, and a whole-body decoder.
+and a phase-resolved linear decoder.
 
-Layer v of the hand stack quantizes a mix of the hand residual with the
-quantized body vector of the same layer (and the face stack with the hand
-vector), so the cheaper parts are encoded relative to what the body already
-says.  Setting conditioning="none" turns the model into independent residual
-stacks; layers=0 turns it into plain single-layer quantization.
+Each part (body, hands, face) has its own encoder and residual stack of
+layers+1 codebooks; layers=0 is plain single-layer quantization.  The
+decoder maps the concatenated per-part code sums linearly to the frames of
+each token stride and is fit in closed form, never by gradient.
 
-Training uses a Gumbel-softmax relaxation of the code choice (temperature
-annealed), codebooks follow exponential moving averages of their assigned
-latents with a dead-code reset at epoch boundaries, and with probability
-`dropout_q` a random suffix of layers is disabled for the step so that every
-prefix of the stack remains a usable decode path.
+conditioning="chain" with mixer_lr_scale > 0 adds the body->hands->face
+chain: layer v of the hand stack quantizes a learned mix of the hand
+residual with the quantized body vector of the same layer (and the face
+stack with the hand vector).  The mixers start at identity, so with
+mixer_lr_scale=0 the chain is exactly conditioning="none" and is not built.
+
+Training takes hard nearest-code choices with straight-through gradients to
+the encoders.  Codebooks follow exponential moving averages of their
+assigned latents with a dead-code reset at epoch boundaries, and with
+probability `dropout_q` a random suffix of layers is disabled for the step
+so that every prefix of the stack remains a usable decode path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -47,20 +52,13 @@ class TokenizerConfig:
     gamma: float = 0.02              # face
     ema_decay: float = 0.99
     conditioning: str = "chain"      # "chain" or "none"
-    latent_norm: str = "rms"         # "rms" or "const" (see _Encoder)
-    estimator: str = "st"            # "st" or "gumbel"
-    gumbel_start: float = 1.0
-    gumbel_end: float = 0.1
     steps: int = 300
     batch: int = 256
     crop_frames: int = 0             # 0 trains on full sequences
     lr: float = 1e-3
     enc_lr_scale: float = 0.2        # encoders move slower than the base lr
-    dec_lr_scale: float = 0.0        # conv-trunk refinement; 0 keeps the decoder
-    # linear (bypass refits only), the stable regime at desk step budgets
-    mixer_lr_scale: float = 0.0      # 0 freezes the conditioning transforms at
-    # identity (the chain then matches plain residual stacks exactly); paper
-    # -scale schedules can afford to train them
+    mixer_lr_scale: float = 0.0      # 0 leaves the chain's mixers at identity,
+    # where the chain is exactly plain residual stacks, so none are built
     refit_every: int = 25            # closed-form bypass refits (0 disables)
     anchor_seqs: int = 32            # sequences used for refits
     final_passes: int = 2            # EMA-only epochs before the last refit
@@ -70,6 +68,25 @@ class TokenizerConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TokenizerConfig":
+        """Config from a saved dict.  A retired key is dropped when it holds
+        the behaviour the code still runs; any other value raises."""
+        kept = {}
+        for key, value in d.items():
+            if key not in _RETIRED:
+                kept[key] = value
+            elif _RETIRED[key] is not None and value != _RETIRED[key]:
+                raise ParameterError(f"tokenizer option {key}={value!r} was removed; "
+                                     f"only {_RETIRED[key]!r} is supported")
+        return cls(**kept)
+
+
+# removed TokenizerConfig fields and the one value each may still hold in a
+# saved config (None: any value); the model runs exactly that behaviour
+_RETIRED = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
+            "gumbel_start": None, "gumbel_end": None}
 
 
 @dataclass
@@ -165,18 +182,13 @@ def quantize_vector(codebook: Codebook, v: np.ndarray) -> tuple[int, np.ndarray]
 class _Encoder(nn.Module):
     """Two stride-2 stages with residual blocks plus a strided linear bypass.
 
-    The output scale must stay anchored so the EMA codebooks and the
-    straight-through loop cannot drift apart.  Two modes: "rms" divides each
-    timestep by its own RMS (hard anchor, but additive motion content becomes
-    nonlinearly entangled and a linear readout cannot undo it); "const"
-    divides by one dataset constant measured at train start (keeps the latent
-    linear in the input, relies on the slow encoder schedule for stability).
+    Each output timestep is divided by its own RMS.  That anchors the latent
+    scale, so the EMA codebooks and the straight-through loop cannot drift
+    apart, at the price of entangling additive motion content nonlinearly.
     """
 
-    def __init__(self, c_in: int, hidden: int, d: int, rng, norm: str = "rms"):
+    def __init__(self, c_in: int, hidden: int, d: int, rng):
         super().__init__()
-        self.norm = norm
-        self.scale = 1.0
         self.conv0 = nn.Conv1d(c_in, hidden, 3, rng, padding=1)
         self.down1 = nn.Conv1d(hidden, hidden, 4, rng, stride=2, padding=1)
         self.res1 = nn.ResConv1d(hidden, rng)
@@ -190,47 +202,29 @@ class _Encoder(nn.Module):
         h = self.res1(self.down1(h).gelu())
         h = self.res2(self.down2(h).gelu())
         out = self.head(h) + self.skip(x)
-        if self.norm == "const":
-            return out * (1.0 / self.scale)
         rms = ((out * out).mean(axis=1, keepdims=True) + 1e-6).sqrt()
         return out / rms
 
 
 class _Decoder(nn.Module):
-    """Token-rate convs, two x2 upsamplings, and a phase-resolved linear bypass.
+    """Phase-resolved linear readout from code sums to frames.
 
-    The bypass maps each code-sum vector to all four frames of its token
-    stride at once (a stride-4 transposed convolution written as a 1x1 conv
-    with 4x output channels), so the best linear decode is reachable in
-    closed form; the conv head refines nonlinearly on top and sees one-hot
-    phase channels for sub-token detail.
+    Each code-sum vector maps to all four frames of its token stride at once
+    (a stride-4 transposed convolution written as a 1x1 conv with 4x output
+    channels), so the least-squares decode is reachable in closed form;
+    `refit_decoder_bypass` is the only thing that trains it.
     """
 
-    def __init__(self, d: int, hidden: int, c_out: int, rng):
+    def __init__(self, d: int, c_out: int, rng):
         super().__init__()
         self.c_out = c_out
-        self.conv0 = nn.Conv1d(3 * d, hidden, 3, rng, padding=1)
-        self.res1 = nn.ResConv1d(hidden, rng)
-        self.up1 = nn.Conv1d(hidden, hidden, 3, rng, padding=1)
-        self.res2 = nn.ResConv1d(hidden, rng)
-        self.up2 = nn.Conv1d(hidden, hidden, 3, rng, padding=1)
-        self.head = nn.Conv1d(hidden + 4, c_out, 3, rng, padding=1)
         self.skip = nn.Conv1d(3 * d, DOWNSCALE * c_out, 1, rng)
-        self.head.weight.data[:] = 0.0  # start at zero output, no init spike
         self.skip.weight.data *= 0.1
 
     def __call__(self, x: Tensor) -> Tensor:
-        h = self.res1(self.conv0(x).gelu())
-        h = self.up1(h.upsample_repeat(2)).gelu()
-        h = self.res2(h)
-        h = self.up2(h.upsample_repeat(2)).gelu()
-        B, _, T = h.shape
-        phase = np.tile(np.eye(DOWNSCALE), (B, 1, T // DOWNSCALE)).reshape(B, DOWNSCALE, T)
-        h = nn.concat([h, Tensor(phase)], axis=1)
-        n = x.shape[2]
+        B, _, n = x.shape
         lin = self.skip(x).reshape(B, DOWNSCALE, self.c_out, n)
-        lin = lin.transpose(0, 2, 3, 1).reshape(B, self.c_out, DOWNSCALE * n)
-        return self.head(h) + lin
+        return lin.transpose(0, 2, 3, 1).reshape(B, self.c_out, DOWNSCALE * n)
 
 
 class _Mixer(nn.Module):
@@ -265,21 +259,24 @@ PARTS = ("body", "hand", "face")
 class MotionTokenizer(nn.Module):
     def __init__(self, config: TokenizerConfig):
         super().__init__()
+        if config.conditioning not in ("chain", "none"):
+            raise ParameterError(f"unknown conditioning {config.conditioning!r}")
         self.config = config
         self.spans = default_spans()
         rng = generator(config.seed, "tokenizer-init")
         d, hid = config.code_dim, config.hidden
         widths = {p: self.spans.indices(p).size for p in PARTS}
-        self.encoders = [ _Encoder(widths[p], hid, d, rng, norm=config.latent_norm)
-                          for p in PARTS ]
-        self.decoder = _Decoder(d, hid, FRAME_WIDTH, rng)
+        self.encoders = [_Encoder(widths[p], hid, d, rng) for p in PARTS]
+        self.decoder = _Decoder(d, FRAME_WIDTH, rng)
         v1 = config.layers + 1
-        if config.conditioning == "chain":
+        # mixers only exist where they can leave identity; at identity the
+        # chain is exactly conditioning="none"
+        self.mixers: dict[str, list[_Mixer]] = {}
+        if config.conditioning == "chain" and config.mixer_lr_scale > 0:
             # one input mixer plus one mixer per layer, for hands and face
-            self.hand_mixers = [ _Mixer(d, rng) for _ in range(v1 + 1) ]
-            self.face_mixers = [ _Mixer(d, rng) for _ in range(v1 + 1) ]
-        elif config.conditioning != "none":
-            raise ParameterError(f"unknown conditioning {config.conditioning!r}")
+            self.hand_mixers = [_Mixer(d, rng) for _ in range(v1 + 1)]
+            self.face_mixers = [_Mixer(d, rng) for _ in range(v1 + 1)]
+            self.mixers = {"hand": self.hand_mixers, "face": self.face_mixers}
         self.codebooks = {p: [Codebook(config.codebook_size, d) for _ in range(v1)] for p in PARTS}
         # channel statistics of the training corpus; identity until fitted
         self.norm_mean = np.zeros(FRAME_WIDTH)
@@ -304,22 +301,19 @@ class MotionTokenizer(nn.Module):
         parts = self.part_slices(self.normalize(batch))
         return {p: enc(Tensor(parts[p])) for p, enc in zip(PARTS, self.encoders)}
 
-    def _mixer(self, part: str, slot: int) -> _Mixer:
-        mixers = self.hand_mixers if part == "hand" else self.face_mixers
-        return mixers[slot]  # slot 0 is the input mixer, slot v+1 is layer v
-
     # -- quantizer ladders --------------------------------------------------
 
     def ladder(self, latents: dict[str, Tensor], active_layers: int | None = None,
-               soft_tau: float | None = None, gumbel_rng: np.random.Generator | None = None):
+               soft_tau: float | None = None):
         """Run the residual stacks.
 
-        With soft_tau=None the code choice is hard: each part's decoder input
-        gets a straight-through estimator (stack-level for the body, per-layer
-        through the mixers for the chained parts) and the commitment residuals
-        subtract detached codes.  With a temperature the code choice becomes a
-        softmax mixture over the codebook (optionally Gumbel-perturbed), which
-        makes the whole ladder differentiable end to end.
+        With soft_tau=None the code choice is hard and the commitment
+        residuals subtract detached codes.  A part without mixers feeds the
+        decoder one stack-level straight-through estimator (identity gradient
+        to the encoder); a part with mixers gets one per layer, so gradient
+        reaches every mixer.  With a temperature the code choice becomes a
+        softmax mixture over the codebook, which makes the whole ladder
+        differentiable end to end.
 
         Returns per part: token indices, quantizer inputs (for EMA updates),
         the initial residual tensor, per-layer code values, per-layer
@@ -327,48 +321,33 @@ class MotionTokenizer(nn.Module):
         final residual.
         """
         v1 = self.config.layers + 1 if active_layers is None else active_layers
-        chain = self.config.conditioning == "chain"
         hard = soft_tau is None
-        # per-layer straight-through exists to feed gradient into the mixers;
-        # with frozen mixers it would only overcount the encoder gradient
-        # (V+1 estimator copies), so fall back to stack-level ST then
-        chain_st = chain and self.config.mixer_lr_scale > 0
         out = {}
-        for part in PARTS:
-            z = latents[part]
-            if chain and part != "body":
-                prev = out[PARTS[PARTS.index(part) - 1]]
-                hints = prev["code_tensors"]
-                r = self._mixer(part, 0)(z, hints[0])
-            else:
-                hints = None
-            if not (chain and part != "body"):
-                r = z
+        for pi, part in enumerate(PARTS):
+            # slot 0 is the input mixer, slot v+1 mixes layer v with its hint
+            mixers = self.mixers.get(part)
+            r = latents[part]
+            if mixers:
+                hints = out[PARTS[pi - 1]]["code_tensors"]
+                r = mixers[0](r, hints[0])
             initial = r
             indices, q_inputs, code_values, code_tensors, commit_residuals = [], [], [], [], []
-            stack_terms = []
             for v in range(v1):
-                q_in = self._mixer(part, v + 1)(r, hints[v]) if hints is not None else r
-                idx, code = self._quantize(part, v, q_in, soft_tau, gumbel_rng)
+                q_in = mixers[v + 1](r, hints[v]) if mixers else r
+                idx, code = self._quantize(part, v, q_in, soft_tau)
                 indices.append(idx)
                 q_inputs.append(np.ascontiguousarray(
                     q_in.data.transpose(0, 2, 1).reshape(-1, q_in.shape[1])))
                 commit_residuals.append(r)
                 code_values.append(code.data)
-                if hard and hints is not None and chain_st:
-                    st = q_in + Tensor(code.data - q_in.data)  # train the mixer
-                    stack_terms.append(st)
-                    code_tensors.append(st)
-                else:
-                    stack_terms.append(code)
-                    code_tensors.append(code)
                 r = r - (Tensor(code.data) if hard else code)
-            if hard and (hints is None or not chain_st):
-                # stack-level straight-through: identity gradient to the encoder
-                hard_sum = np.sum([c for c in code_values], axis=0)
-                stack = initial + Tensor(hard_sum - initial.data)
+                if hard and mixers:
+                    code = q_in + Tensor(code.data - q_in.data)
+                code_tensors.append(code)
+            if hard and not mixers:
+                stack = initial + Tensor(np.sum(code_values, axis=0) - initial.data)
             else:
-                stack = _sum_tensors(stack_terms)
+                stack = _sum_tensors(code_tensors)
             out[part] = {
                 "indices": indices,
                 "q_inputs": q_inputs,
@@ -381,7 +360,7 @@ class MotionTokenizer(nn.Module):
             }
         return out
 
-    def _quantize(self, part, v, q_in: Tensor, soft_tau, gumbel_rng):
+    def _quantize(self, part, v, q_in: Tensor, soft_tau):
         """One codebook lookup; returns (indices (B, n), code Tensor (B, d, n))."""
         B, d, n = q_in.shape
         flat = q_in.transpose(0, 2, 1).reshape(B * n, d)
@@ -401,11 +380,7 @@ class MotionTokenizer(nn.Module):
             # scale stays in the graph, keeping the relaxation exactly
             # differentiable end to end
             scale = nn.gather_last(d2, idx).mean() + 1e-6
-            logits = d2 / (scale * (-soft_tau))
-            if gumbel_rng is not None:
-                u = gumbel_rng.uniform(1e-12, 1.0, size=(B * n, cb.size))
-                logits = logits + Tensor(-np.log(-np.log(u)))
-            code = nn.softmax(logits, axis=-1) @ codes
+            code = nn.softmax(d2 / (scale * (-soft_tau)), axis=-1) @ codes
         return idx.reshape(B, n), code.reshape(B, n, d).transpose(0, 2, 1)
 
     # -- persistence --------------------------------------------------------
@@ -420,7 +395,6 @@ class MotionTokenizer(nn.Module):
                 arrays[f"codebook.{p}.{v}.usage"] = cb.usage
         arrays["norm.mean"] = self.norm_mean
         arrays["norm.std"] = self.norm_std
-        arrays["norm.enc_scales"] = np.array([e.scale for e in self.encoders])
         return arrays
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
@@ -434,8 +408,6 @@ class MotionTokenizer(nn.Module):
                 cb.initialized = True
         self.norm_mean = arrays["norm.mean"].astype(np.float64)
         self.norm_std = arrays["norm.std"].astype(np.float64)
-        for enc, s in zip(self.encoders, arrays.get("norm.enc_scales", np.ones(3))):
-            enc.scale = float(s)
 
 
 # -- public operations ----------------------------------------------------------
@@ -521,14 +493,13 @@ class TokenizerLoss:
 def tokenizer_loss(model: MotionTokenizer, batch: np.ndarray,
                    active_layers: int | None = None,
                    soft_tau: float | None = None,
-                   gumbel_rng: np.random.Generator | None = None,
                    commit_targets: dict | None = None) -> TokenizerLoss:
     """Reconstruction L1 plus per-part commitment terms.
 
     `batch` is (B, T, 723) raw frames.  The default is the hard forward with
-    straight-through gradients; a soft temperature switches to the fully
-    differentiable Gumbel-softmax relaxation of the same loss.  The
-    commitment terms stop the gradient at the quantized vectors; for
+    straight-through gradients, which training uses; a soft temperature
+    switches to the fully differentiable softmax relaxation of the same loss,
+    the reference for gradient checks.  The commitment terms stop the gradient at the quantized vectors; for
     finite-difference checks pass `commit_targets` (per part, per layer) so
     those frozen constants stay fixed while parameters are perturbed.
     """
@@ -536,8 +507,7 @@ def tokenizer_loss(model: MotionTokenizer, batch: np.ndarray,
         raise ParameterError("batch must be nonempty (B, T, 723)")
     batch = _pad_batch(batch)
     latents = model.encode_latents(batch)
-    ladder = model.ladder(latents, active_layers=active_layers,
-                          soft_tau=soft_tau, gumbel_rng=gumbel_rng)
+    ladder = model.ladder(latents, active_layers=active_layers, soft_tau=soft_tau)
     sums = nn.concat([ladder[p]["stack"] for p in PARTS], axis=1)
     recon = decoder_apply(model, sums, denormalize=False)
     target = Tensor(model.normalize(batch))
@@ -583,27 +553,21 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
                     log: list | None = None) -> MotionTokenizer:
     """Fit the tokenizer on (N_seqs, T, 723) raw frames; fully seed-driven.
 
-    Codebooks follow EMA k-means over assignments, the phase-resolved decoder
-    bypass is refit in closed form every `refit_every` steps, and the
-    remaining parameters take gradient steps (decoder at `lr`, encoders and
-    mixers at `lr * enc_lr_scale`).
+    Each step takes the hard straight-through loss.  Codebooks follow EMA
+    k-means over assignments, the linear decoder is refit in closed form
+    every `refit_every` steps, the encoders take AdamW steps at
+    `lr * enc_lr_scale` and the mixers, when built, at `lr * mixer_lr_scale`.
     """
     if train_frames.shape[0] == 0:
         raise ParameterError("empty training set")
     model = MotionTokenizer(config)
     model.set_normalizer(train_frames.reshape(-1, FRAME_WIDTH))
-    skip_params = {id(p) for _, p in model.decoder.skip.named_parameters()}
     enc_params = [p for m in model.encoders for p in m.parameters()]
-    mixer_params = []
-    if config.conditioning == "chain":
-        mixer_params = [p for m in model.hand_mixers + model.face_mixers for p in m.parameters()]
-    dec_params = [p for p in model.decoder.parameters() if id(p) not in skip_params]
-    opt_dec = nn.AdamW(dec_params, lr=config.lr)
+    mixer_params = [p for ms in model.mixers.values() for m in ms for p in m.parameters()]
     opt_enc = nn.AdamW(enc_params, lr=config.lr * config.enc_lr_scale)
     opt_mix = nn.AdamW(mixer_params, lr=config.lr) if mixer_params else None
     batch_rng = generator(config.seed, "tokenizer-batches")
     drop_rng = generator(config.seed, "tokenizer-dropout")
-    gumbel_rng = generator(config.seed, "tokenizer-gumbel")
     reset_rng = generator(config.seed, "tokenizer-reset")
 
     n_seqs = train_frames.shape[0]
@@ -641,22 +605,14 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
             _init_codebooks(model, batch, reset_rng)
             refit_decoder_bypass(model, anchor)
 
-        if config.estimator == "gumbel":
-            frac = step / max(1, config.steps - 1)
-            tau = config.gumbel_start + (config.gumbel_end - config.gumbel_start) * frac
-            loss = tokenizer_loss(model, batch, active_layers=active,
-                                  soft_tau=tau, gumbel_rng=gumbel_rng)
-        else:
-            loss = tokenizer_loss(model, batch, active_layers=active)
+        loss = tokenizer_loss(model, batch, active_layers=active)
         if not np.isfinite(loss.total.data):
             raise TrainingFailureError("tokenizer loss diverged", step)
         model.zero_grad()
         loss.total.backward()
         lr_frac = nn.warmup_lr(step, 1.0, config.warmup_steps)
-        if config.dec_lr_scale:
-            opt_dec.step(lr=config.lr * config.dec_lr_scale * lr_frac)
         opt_enc.step(lr=config.lr * config.enc_lr_scale * lr_frac)
-        if opt_mix is not None and config.mixer_lr_scale:
+        if opt_mix is not None:
             opt_mix.step(lr=config.lr * config.mixer_lr_scale * lr_frac)
 
         for part in PARTS:
@@ -701,11 +657,6 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
 
 
 def _init_codebooks(model: MotionTokenizer, batch: np.ndarray, rng: np.random.Generator) -> None:
-    if model.config.latent_norm == "const":
-        # pin each encoder's constant scale to its first-batch latent RMS
-        raw = model.encode_latents(batch)
-        for enc, part in zip(model.encoders, PARTS):
-            enc.scale = float(np.sqrt((raw[part].data ** 2).mean()) + 1e-9) * enc.scale
     latents = model.encode_latents(batch)
     ladder = model.ladder(latents)  # hard pass just to reach every stack input
     for part in PARTS:
@@ -714,15 +665,11 @@ def _init_codebooks(model: MotionTokenizer, batch: np.ndarray, rng: np.random.Ge
 
 
 def refit_decoder_bypass(model: MotionTokenizer, batch: np.ndarray) -> None:
-    """Closed-form ridge fit of the phase-resolved decoder bypass.
+    """Closed-form ridge fit of the phase-resolved linear decoder.
 
     Solves the least-squares map from hard code sums to the frames of each
-    token stride and writes it into the bypass conv (the conv head's current
-    contribution is subtracted from the target first).  The regression rows
-    mix every layer-prefix sum, with the full stack repeated, so truncated
-    decodes stay calibrated too.  A few of these during training keep the
-    linear decode optimal for the moving codebooks instead of crawling there
-    with L1 sign gradients.
+    token stride and writes it into the decoder's 1x1 conv.  A few of these
+    during training keep the linear decode optimal for the moving codebooks.
     """
     latents = model.encode_latents(batch)
     ladder = model.ladder(latents)
@@ -730,29 +677,13 @@ def refit_decoder_bypass(model: MotionTokenizer, batch: np.ndarray) -> None:
     B, C3, n = sums.shape
     X = sums.transpose(0, 2, 1).reshape(B * n, C3)
     X = np.concatenate([X, np.ones((X.shape[0], 1))], axis=1)
-    target = model.normalize(batch)
-    resid = target - _head_only(model, sums).transpose(0, 2, 1)
-    Y = resid.reshape(B, n, DOWNSCALE, FRAME_WIDTH).reshape(B * n, DOWNSCALE * FRAME_WIDTH)
+    Y = model.normalize(batch).reshape(B * n, DOWNSCALE * FRAME_WIDTH)
     gram = X.T @ X
     lam = 1e-3 * np.trace(gram) / gram.shape[0]
     gram[np.diag_indices_from(gram)] += lam
     W = np.linalg.solve(gram, X.T @ Y)
     model.decoder.skip.weight.data = np.ascontiguousarray(W[:-1].T[:, :, None])
     model.decoder.skip.bias.data = W[-1].copy()
-
-
-def _head_only(model: MotionTokenizer, sums: np.ndarray) -> np.ndarray:
-    """Decoder conv-head output (bypass suppressed), numpy (B, 723, T)."""
-    dec = model.decoder
-    x = Tensor(sums)
-    h = dec.res1(dec.conv0(x).gelu())
-    h = dec.up1(h.upsample_repeat(2)).gelu()
-    h = dec.res2(h)
-    h = dec.up2(h.upsample_repeat(2)).gelu()
-    B, _, T = h.shape
-    phase = np.tile(np.eye(DOWNSCALE), (B, 1, T // DOWNSCALE)).reshape(B, DOWNSCALE, T)
-    h = nn.concat([h, Tensor(phase)], axis=1)
-    return dec.head(h).data
 
 
 # -- checkpoint round trip ---------------------------------------------------------
@@ -770,6 +701,6 @@ def load_tokenizer(path) -> MotionTokenizer:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "tokenizer":
         raise ParameterError(f"{path}: expected a tokenizer checkpoint, got {kind!r}")
-    model = MotionTokenizer(TokenizerConfig(**config))
+    model = MotionTokenizer(TokenizerConfig.from_dict(config))
     model.load_state(arrays)
     return model

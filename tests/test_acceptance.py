@@ -267,16 +267,20 @@ def _check_params(named, loss_fn, n_checks=20, h=1e-4, tol=2e-3, rng_seed=3):
     return worst
 
 
+def _toy_tokenizer(frames: np.ndarray) -> MotionTokenizer:
+    tok = MotionTokenizer(TokenizerConfig(codebook_size=12, code_dim=8, layers=2, hidden=8, seed=6))
+    tok.set_normalizer(frames.reshape(-1, FRAME_WIDTH))
+    _init_codebooks(tok, frames, np.random.default_rng(0))
+    return tok
+
+
 class TestCriterion5:
     @pytest.fixture(scope="class")
     def toy_setup(self):
         cfg = CorpusConfig(n_samples=12, seed=5, duration_s=4.0, genres=(0, 1))
         corpus = make_corpus(cfg)
         frames = np.stack([s.motion.data for s in corpus])[:4]
-        tok_cfg = TokenizerConfig(codebook_size=12, code_dim=8, layers=2, hidden=8, seed=6)
-        tok = MotionTokenizer(tok_cfg)
-        tok.set_normalizer(frames.reshape(-1, FRAME_WIDTH))
-        _init_codebooks(tok, frames, np.random.default_rng(0))
+        tok = _toy_tokenizer(frames)
         mmr_cfg = RetrievalConfig(variant="whole", hidden=12, seed=7)
         mmr_body_cfg = RetrievalConfig(variant="body", hidden=12, seed=8)
         from dancegen.retrieval import DualEncoder
@@ -305,7 +309,10 @@ class TestCriterion5:
                 "c_body": c_body, "feats": feats}
 
     def test_codec_loss_gradients(self, toy_setup):
-        tok, frames = toy_setup["tok"], toy_setup["frames"]
+        # the shared tokenizer is frozen for the generator checks, so this
+        # check gets an unfrozen copy of it
+        frames = toy_setup["frames"]
+        tok = _toy_tokenizer(frames)
         batch = frames[:2, :16]
         first = tokenizer_loss(tok, batch, soft_tau=2.0)
         frozen = {p: [c.copy() for c in first.ladder[p]["code_values"]]

@@ -3,19 +3,24 @@
 import numpy as np
 import pytest
 
+from dancegen import nn
 from dancegen.errors import (
     InvalidTokenError,
     NumericInputError,
     ParameterError,
+    ShapeError,
     TooShortError,
 )
+from dancegen.io import load_checkpoint, save_checkpoint
 from dancegen.motion import FRAME_WIDTH, MotionSequence
 from dancegen.nn.rng import generator
+from dancegen.pipeline import RunConfig
 from dancegen.tokenizer import (
     Codebook,
     MotionTokenizer,
     TokenGrid,
     TokenizerConfig,
+    _Mixer,
     decode,
     encode,
     load_tokenizer,
@@ -317,3 +322,109 @@ class TestTraining:
         np.testing.assert_array_equal(grid.indices, grid2.indices)
         np.testing.assert_array_equal(decode(tiny_tokenizer, grid).data,
                                       decode(back, grid).data)
+
+
+def _chain_config(**overrides) -> TokenizerConfig:
+    base = dict(codebook_size=32, code_dim=16, layers=2, hidden=12, steps=8, batch=4,
+                crop_frames=32, seed=13, refit_every=4, warmup_steps=2, conditioning="chain")
+    return TokenizerConfig(**{**base, **overrides})
+
+
+class TestTrainableChain:
+    @pytest.fixture(scope="class")
+    def mixed(self, tiny_train_frames):
+        return train_tokenizer(tiny_train_frames, _chain_config(mixer_lr_scale=1.0))
+
+    def test_frozen_chain_is_plain_stacks(self, tiny_train_frames):
+        chain = train_tokenizer(tiny_train_frames, _chain_config())
+        plain = train_tokenizer(tiny_train_frames, _chain_config(conditioning="none"))
+        assert chain.mixers == {}
+        a, b = chain.state(), plain.state()
+        assert sorted(a) == sorted(b)
+        for key in a:
+            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
+
+    def test_mixers_leave_identity(self, mixed):
+        assert sorted(mixed.mixers) == ["face", "hand"]
+        for part, mixers in mixed.mixers.items():
+            assert len(mixers) == mixed.config.layers + 2
+            for slot, m in enumerate(mixers):
+                assert np.any(m.conv.weight.data != 0.0), (part, slot)
+
+    def test_telescoping_and_roundtrip(self, mixed, tiny_corpus, tmp_path):
+        seq = tiny_corpus[0].motion
+        res = encode(mixed, seq)
+        for part in ("body", "hand", "face"):
+            total = sum(res.quantized[part]) + res.final_residual[part]
+            assert np.abs(total - res.initial[part]).max() < 1e-5
+        path = tmp_path / "mixed.snc"
+        save_tokenizer(path, mixed)
+        back = load_tokenizer(path)
+        np.testing.assert_array_equal(encode(back, seq).grid.indices, res.grid.indices)
+
+
+def _earlier_layout_arrays(cfg: TokenizerConfig) -> dict[str, np.ndarray]:
+    """Arrays that checkpoints of the earlier tokenizer layout also hold: the
+    decoder's conv trunk, identity chain mixers and constant-norm scales."""
+    rng = np.random.default_rng(0)
+    d, hid = cfg.code_dim, cfg.hidden
+    trunk = {"conv0": nn.Conv1d(3 * d, hid, 3, rng, padding=1), "res1": nn.ResConv1d(hid, rng),
+             "up1": nn.Conv1d(hid, hid, 3, rng, padding=1), "res2": nn.ResConv1d(hid, rng),
+             "up2": nn.Conv1d(hid, hid, 3, rng, padding=1),
+             "head": nn.Conv1d(hid + 4, FRAME_WIDTH, 3, rng, padding=1)}
+    out = {f"decoder.{name}.{k}": v for name, m in trunk.items() for k, v in m.state_arrays().items()}
+    for part in ("hand", "face"):
+        for slot in range(cfg.layers + 2):
+            out.update({f"{part}_mixers.{slot}.{k}": v
+                        for k, v in _Mixer(d, rng).state_arrays().items()})
+    out["norm.enc_scales"] = np.ones(3)
+    return out
+
+
+EARLIER_DEFAULTS = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
+                    "gumbel_start": 1.0, "gumbel_end": 0.1}
+
+
+class TestCheckpointCompat:
+    def test_earlier_layout_loads(self, tiny_tokenizer, tiny_corpus, tmp_path):
+        cfg = tiny_tokenizer.config
+        path = tmp_path / "earlier.snc"
+        arrays = {**tiny_tokenizer.state(), **_earlier_layout_arrays(cfg)}
+        save_checkpoint(path, "tokenizer", {**cfg.to_dict(), **EARLIER_DEFAULTS}, cfg.seed, arrays)
+        back = load_tokenizer(path)
+        assert back.config == cfg
+        for sample in tiny_corpus[:3]:
+            grid = encode(tiny_tokenizer, sample.motion).grid
+            np.testing.assert_array_equal(encode(back, sample.motion).grid.indices, grid.indices)
+            np.testing.assert_array_equal(decode(back, grid).data, decode(tiny_tokenizer, grid).data)
+
+    def test_earlier_run_config_loads(self):
+        doc = RunConfig().to_dict()
+        doc["hrvq"].update(EARLIER_DEFAULTS)
+        assert RunConfig.from_dict(doc).hrvq == TokenizerConfig()
+
+    @pytest.mark.parametrize("key, value", [("latent_norm", "const"),
+                                            ("estimator", "gumbel"),
+                                            ("dec_lr_scale", 0.5)])
+    def test_retired_behaviour_rejected(self, tiny_tokenizer, tmp_path, key, value):
+        cfg = tiny_tokenizer.config
+        path = tmp_path / "retired.snc"
+        save_checkpoint(path, "tokenizer", {**cfg.to_dict(), key: value}, cfg.seed,
+                        tiny_tokenizer.state())
+        with pytest.raises(ParameterError, match=key):
+            load_tokenizer(path)
+        with pytest.raises(ParameterError, match=key):
+            RunConfig.from_dict({"hrvq": {key: value}})
+
+    def test_missing_and_misshaped_arrays(self, tiny_tokenizer, tmp_path):
+        path = tmp_path / "tok.snc"
+        save_tokenizer(path, tiny_tokenizer)
+        kind, config, seed, arrays = load_checkpoint(path)
+        missing = {k: v for k, v in arrays.items() if k != "decoder.skip.weight"}
+        save_checkpoint(path, kind, config, seed, missing)
+        with pytest.raises(ParameterError, match="decoder.skip.weight"):
+            load_tokenizer(path)
+        arrays["decoder.skip.bias"] = arrays["decoder.skip.bias"][:-1]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ShapeError, match="decoder.skip.bias"):
+            load_tokenizer(path)
