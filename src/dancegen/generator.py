@@ -403,6 +403,7 @@ def _log_softmax_np(x: np.ndarray) -> np.ndarray:
     return x - shift - np.log(np.exp(x - shift).sum(axis=-1, keepdims=True))
 
 
+@nn.no_grad()
 def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTrack,
              gcfg: GenerationConfig | None = None) -> MotionSequence:
     """Two-stage iterative generation, then decode through the tokenizer."""
@@ -463,6 +464,7 @@ def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTra
     return decode(tokenizer, grid)
 
 
+@nn.no_grad()
 def masked_accuracy(model: MaskedGenerator, tokenizer: MotionTokenizer, samples: list,
                     ratio: float = 0.5, seed: int = 0) -> float:
     """Teacher-forced accuracy on masked layer-0 tokens of held-out samples."""
@@ -505,15 +507,9 @@ def load_generator(path) -> MaskedGenerator:
     if kind != "generator":
         raise ParameterError(f"{path}: expected a generator checkpoint, got {kind!r}")
     model = MaskedGenerator(GeneratorConfig(**config["generator"]))
-    model.cond_encoder = DualEncoder(RetrievalConfig(**config["condition"]))
-    params = {k: v for k, v in arrays.items() if not k.startswith("cond_encoder.norm.")}
-    model.load_state_arrays(params)
-    cond = model.cond_encoder
-    cond.motion_mean = arrays["cond_encoder.norm.motion_mean"].astype(np.float64)
-    cond.motion_std = arrays["cond_encoder.norm.motion_std"].astype(np.float64)
-    cond.music_mean = arrays["cond_encoder.norm.music_mean"].astype(np.float64)
-    cond.music_std = arrays["cond_encoder.norm.music_std"].astype(np.float64)
-    cond.motion_enc.pool_center = arrays["cond_encoder.norm.motion_pool_center"].astype(np.float64)
-    cond.music_enc.pool_center = arrays["cond_encoder.norm.music_pool_center"].astype(np.float64)
-    _freeze(model.cond_encoder)
+    model.load_state_arrays(arrays)  # before the conditioning encoder is attached
+    cond = DualEncoder(RetrievalConfig(**config["condition"]))
+    cond.load_state(arrays, prefix="cond_encoder.")
+    _freeze(cond)
+    model.cond_encoder = cond
     return model

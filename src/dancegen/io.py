@@ -9,12 +9,20 @@ SNC1  checkpoint container: magic "SNC1", u32 version, u64 header length,
       JSON header (kind, config echo, seed, array directory), raw array bytes.
 
 Manifests and skeleton/rig files are human-readable JSON.
+
+Motion, track, checkpoint and manifest files are written to a temporary file
+beside the target and renamed onto it only once complete, so an interrupted
+write leaves either the old file or none, never a truncated one (the rename
+is atomic; the data is not fsynced, so this guards against a crash of the
+process, not against power loss).
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -31,9 +39,32 @@ CKPT_VERSION = 1
 TRACK_CHANNELS = 35
 
 
+@contextlib.contextmanager
+def _replace_when_done(path: str | Path):
+    """Binary file handle for `path` that only replaces `path` when the block
+    completes; on an exception the partial temporary file is removed."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read(f, count: int, path, error: type, what: str) -> bytes:
+    """Exactly `count` bytes from `f`; a short read raises `error`."""
+    data = f.read(count)
+    if len(data) != count:
+        raise error(f"{path}: truncated {what} ({len(data)} of {count} bytes)")
+    return data
+
+
 def write_motion(path: str | Path, seq: MotionSequence) -> None:
     data = seq.data.astype("<f4")
-    with open(path, "wb") as f:
+    with _replace_when_done(path) as f:
         f.write(MOTION_MAGIC)
         f.write(struct.pack("<III", seq.fps, seq.frames, FRAME_WIDTH))
         f.write(data.tobytes(order="C"))
@@ -43,17 +74,19 @@ def read_motion(path: str | Path) -> MotionSequence:
     with open(path, "rb") as f:
         if f.read(4) != MOTION_MAGIC:
             raise MalformedSequenceError(f"{path}: not an SDM1 file")
-        fps, frames, channels = struct.unpack("<III", f.read(12))
+        fps, frames, channels = struct.unpack(
+            "<III", _read(f, 12, path, MalformedSequenceError, "SDM1 header"))
         if channels != FRAME_WIDTH:
             raise MalformedSequenceError(f"{path}: channels={channels}, expected {FRAME_WIDTH}")
-        data = np.frombuffer(f.read(4 * frames * channels), dtype="<f4")
+        data = np.frombuffer(_read(f, 4 * frames * channels, path, MalformedSequenceError,
+                                   "SDM1 frames"), dtype="<f4")
     return MotionSequence(data.reshape(frames, channels).astype(np.float64), fps=fps)
 
 
 def write_track(path: str | Path, track) -> None:
     feats = track.features.astype("<f4")
     rows, channels = feats.shape
-    with open(path, "wb") as f:
+    with _replace_when_done(path) as f:
         f.write(TRACK_MAGIC)
         f.write(struct.pack("<III", int(track.feature_rate), rows, channels))
         f.write(feats.tobytes(order="C"))
@@ -69,13 +102,17 @@ def read_track(path: str | Path):
     with open(path, "rb") as f:
         if f.read(4) != TRACK_MAGIC:
             raise MalformedSequenceError(f"{path}: not an SMT1 file")
-        rate, rows, channels = struct.unpack("<III", f.read(12))
+        def read(count: int, what: str) -> bytes:
+            return _read(f, count, path, MalformedSequenceError, f"SMT1 {what}")
+
+        rate, rows, channels = struct.unpack("<III", read(12, "header"))
         if channels != TRACK_CHANNELS:
             raise MalformedSequenceError(f"{path}: channels={channels}, expected {TRACK_CHANNELS}")
-        feats = np.frombuffer(f.read(4 * rows * channels), dtype="<f4").reshape(rows, channels)
-        (n_beats,) = struct.unpack("<I", f.read(4))
-        beats = np.frombuffer(f.read(8 * n_beats), dtype="<f8")
-        genre, emotion, duration = struct.unpack("<IId", f.read(16))
+        feats = np.frombuffer(read(4 * rows * channels, "features"), dtype="<f4")
+        feats = feats.reshape(rows, channels)
+        (n_beats,) = struct.unpack("<I", read(4, "beat count"))
+        beats = np.frombuffer(read(8 * n_beats, "beats"), dtype="<f8")
+        genre, emotion, duration = struct.unpack("<IId", read(16, "trailer"))
     return MusicTrack(
         features=feats.astype(np.float64),
         beat_times=beats.copy(),
@@ -107,7 +144,7 @@ def save_checkpoint(path: str | Path, kind: str, config: dict, seed: int,
         {"kind": kind, "config": config, "seed": seed, "arrays": entries},
         sort_keys=True,
     ).encode("utf-8")
-    with open(path, "wb") as f:
+    with _replace_when_done(path) as f:
         f.write(CKPT_MAGIC)
         f.write(struct.pack("<IQ", CKPT_VERSION, len(header)))
         f.write(header)
@@ -116,18 +153,32 @@ def save_checkpoint(path: str | Path, kind: str, config: dict, seed: int,
 
 
 def load_checkpoint(path: str | Path) -> tuple[str, dict, int, dict[str, np.ndarray]]:
+    """Read an SNC1 container; a truncated or inconsistent file raises ShapeError."""
     with open(path, "rb") as f:
         if f.read(4) != CKPT_MAGIC:
             raise ShapeError(f"{path}: not a checkpoint container")
-        version, header_len = struct.unpack("<IQ", f.read(12))
+        version, header_len = struct.unpack("<IQ", _read(f, 12, path, ShapeError,
+                                                         "checkpoint header"))
         if version != CKPT_VERSION:
             raise ShapeError(f"{path}: unsupported checkpoint version {version}")
-        header = json.loads(f.read(header_len).decode("utf-8"))
+        raw_header = _read(f, header_len, path, ShapeError, "checkpoint header")
+        try:
+            header = json.loads(raw_header.decode("utf-8"))
+        except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+            raise ShapeError(f"{path}: malformed checkpoint header: {e}") from None
         payload = f.read()
     arrays = {}
     for entry in header["arrays"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=entry["dtype"]).reshape(entry["shape"]).copy()
+        end = entry["offset"] + entry["nbytes"]
+        if end > len(payload):
+            raise ShapeError(f"{path}: truncated checkpoint payload: array {entry['name']} "
+                             f"ends at byte {end} of {len(payload)}")
+        dtype = np.dtype(entry["dtype"])
+        if entry["nbytes"] != dtype.itemsize * int(np.prod(entry["shape"])):
+            raise ShapeError(f"{path}: array {entry['name']} holds {entry['nbytes']} bytes, "
+                             f"not a {dtype} array of shape {tuple(entry['shape'])}")
+        raw = payload[entry["offset"]:end]
+        arrays[entry["name"]] = np.frombuffer(raw, dtype=dtype).reshape(entry["shape"]).copy()
     return header["kind"], header["config"], header["seed"], arrays
 
 
@@ -170,7 +221,9 @@ def read_rig(path: str | Path) -> BlendshapeRig:
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=1, sort_keys=True))
+    text = json.dumps(manifest, indent=1, sort_keys=True)
+    with _replace_when_done(path) as f:
+        f.write(text.encode("utf-8"))
 
 
 def read_manifest(path: str | Path) -> dict:

@@ -296,9 +296,9 @@ class MotionFeatureExtractor(nn.Module):
         return arrays
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("norm.")})
-        self.mean = arrays["norm.mean"].astype(np.float64)
-        self.std = arrays["norm.std"].astype(np.float64)
+        self.load_state_arrays(arrays)
+        self.mean = nn.load_array(arrays, "norm.mean", self.mean)
+        self.std = nn.load_array(arrays, "norm.std", self.std)
         self.trained = True
 
 
@@ -331,6 +331,7 @@ def train_extractor(frames_list: list, config: ExtractorConfig,
     return model
 
 
+@nn.no_grad()
 def motion_features(extractor: MotionFeatureExtractor, seqs: list) -> FeatureSet:
     """Feature vectors for a list of MotionSequence or (T, 723) arrays."""
     if not extractor.trained:

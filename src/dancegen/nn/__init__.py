@@ -1,5 +1,16 @@
-from .tensor import Tensor, concat, stack, gather_rows, gather_last, softmax, log_softmax, conv1d
+from .tensor import (
+    Tensor,
+    no_grad,
+    concat,
+    stack,
+    gather_rows,
+    gather_last,
+    softmax,
+    log_softmax,
+    conv1d,
+)
 from .layers import (
+    load_array,
     Module,
     Linear,
     Conv1d,
@@ -13,8 +24,8 @@ from .optim import AdamW, warmup_lr
 from .rng import splitmix64, fnv1a64, derive_seed, generator
 
 __all__ = [
-    "Tensor", "concat", "stack", "gather_rows", "gather_last", "softmax", "log_softmax",
-    "conv1d", "Module", "Linear", "Conv1d", "Embedding", "LayerNorm", "SelfAttention",
+    "Tensor", "no_grad", "concat", "stack", "gather_rows", "gather_last", "softmax", "log_softmax",
+    "conv1d", "load_array", "Module", "Linear", "Conv1d", "Embedding", "LayerNorm", "SelfAttention",
     "TransformerBlock", "ResConv1d", "AdamW", "warmup_lr",
     "splitmix64", "fnv1a64", "derive_seed", "generator",
 ]

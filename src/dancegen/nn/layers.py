@@ -9,6 +9,17 @@ from . import tensor as T
 from .tensor import Tensor
 
 
+def load_array(arrays: dict[str, np.ndarray], name: str, like: np.ndarray) -> np.ndarray:
+    """arrays[name] as the dtype of `like`.  Raises ParameterError when the
+    array is missing and ShapeError when its shape differs from `like`."""
+    if name not in arrays:
+        raise ParameterError(f"missing array {name}")
+    src = arrays[name]
+    if src.shape != like.shape:
+        raise ShapeError(f"shape mismatch for {name}: {src.shape} vs {like.shape}")
+    return src.astype(like.dtype)
+
+
 class Module:
     """Minimal module: tracks parameters and child modules by attribute name."""
 
@@ -43,12 +54,7 @@ class Module:
 
     def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
         for name, p in self.named_parameters(prefix):
-            if name not in arrays:
-                raise ParameterError(f"missing array {name}")
-            src = arrays[name]
-            if src.shape != p.data.shape:
-                raise ShapeError(f"shape mismatch for {name}: {src.shape} vs {p.data.shape}")
-            p.data = src.astype(np.float64)
+            p.data = load_array(arrays, name, p.data)
 
     def zero_grad(self) -> None:
         for p in self.parameters():

@@ -5,13 +5,44 @@ closure; `Tensor.backward()` runs the tape in reverse topological order.
 float64 throughout so finite-difference checks are meaningful.  The op set
 is exactly what the models in this package need (dense layers, temporal
 convolutions, attention, embeddings, the usual reductions).
+
+Inference runs tape-free under `no_grad()`: ops compute the same values but
+record no parents or backward closures, so nothing is kept alive for a
+backward pass that never comes.  The public inference functions run under
+it: `generator.generate` and `masked_accuracy`; `tokenizer.encode`,
+`decode`, `refit_decoder_bypass`, codebook initialisation, and the
+finalisation passes and untrained-loss record of `train_tokenizer`;
+`retrieval.encode_motion_many`, `encode_music_many` and
+`DualEncoder.set_pool_centers`; and `metrics.motion_features`.
+`tokenizer.decoder_apply`, the loss functions and
+`DualEncoder.encode_motion_batch`/`encode_music_batch` keep the tape: the
+generator's alignment losses and retrieval training backpropagate through
+them.
 """
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 
 Array = np.ndarray
+
+_grad_enabled = True  # False inside no_grad(); checked by Tensor._make
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Run ops without recording the tape; usable as `with no_grad():` or as
+    a `@no_grad()` decorator.  Restores the previous mode on exit, also on an
+    exception, so blocks nest.  The mode is process-wide, not per thread."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _as_array(x) -> Array:
@@ -50,7 +81,7 @@ class Tensor:
         out = Tensor.__new__(Tensor)
         out.data = data
         out.grad = None
-        out.requires_grad = any(p.requires_grad for p in parents)
+        out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
         if out.requires_grad:
             out._parents = parents
             out._backward = backward

@@ -56,7 +56,13 @@ from .retrieval import (
     train_retrieval,
 )
 from .synth import EMOTION_CENTROIDS, CorpusConfig, make_corpus, split_of
-from .tokenizer import TokenizerConfig, load_tokenizer, save_tokenizer, train_tokenizer
+from .tokenizer import (
+    RETIRED_OPTIONS,
+    TokenizerConfig,
+    load_tokenizer,
+    save_tokenizer,
+    train_tokenizer,
+)
 
 ENV_ROOT = "DANCEGEN_HOME"
 
@@ -105,10 +111,24 @@ class RunConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
+        """Config from a saved dict; a missing key keeps its default and an
+        unknown section or key raises ParameterError."""
+        defaults = RunConfig()
+        for name, doc in d.items():
+            if name in ("seed", "out_dir"):
+                continue
+            if not dataclasses.is_dataclass(getattr(defaults, name, None)):
+                raise ParameterError(f"unknown config section {name!r}")
+            known = {f.name for f in dataclasses.fields(getattr(defaults, name))}
+            if name == "hrvq":
+                known |= RETIRED_OPTIONS.keys()
+            for key in doc:
+                if key not in known:
+                    raise ParameterError(f"unknown config key {name + '.' + key!r}")
         return RunConfig(
             seed=d.get("seed", 0),
             out_dir=d.get("out_dir", "run"),
-            corpus=CorpusConfig.from_dict(d["corpus"]) if "corpus" in d else CorpusConfig(),
+            corpus=CorpusConfig.from_dict(d.get("corpus", {})),
             hrvq=TokenizerConfig.from_dict(d.get("hrvq", {})),
             mmr_body=RetrievalConfig(**{**{"variant": "body"}, **d.get("mmr_body", {})}),
             mmr_whole=RetrievalConfig(**{**{"variant": "whole"}, **d.get("mmr_whole", {})}),

@@ -135,6 +135,7 @@ class DualEncoder(nn.Module):
         std = feats.std(axis=0)
         self.music_std = np.where(std < 1e-4, 1.0, std)
 
+    @nn.no_grad()
     def set_pool_centers(self, motion_batch: np.ndarray, feat_batch: np.ndarray) -> None:
         """Measure the mean pooled features of training clips (constants)."""
         x = (self.motion_slice(motion_batch) - self.motion_mean) / self.motion_std
@@ -173,14 +174,14 @@ class DualEncoder(nn.Module):
         arrays["norm.music_pool_center"] = self.music_enc.pool_center
         return arrays
 
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.load_state_arrays({k: v for k, v in arrays.items() if not k.startswith("norm.")})
-        self.motion_mean = arrays["norm.motion_mean"].astype(np.float64)
-        self.motion_std = arrays["norm.motion_std"].astype(np.float64)
-        self.music_mean = arrays["norm.music_mean"].astype(np.float64)
-        self.music_std = arrays["norm.music_std"].astype(np.float64)
-        self.motion_enc.pool_center = arrays["norm.motion_pool_center"].astype(np.float64)
-        self.music_enc.pool_center = arrays["norm.music_pool_center"].astype(np.float64)
+    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
+        """Load `state()` arrays, each looked up as prefix + its name."""
+        self.load_state_arrays(arrays, prefix)
+        for name in ("motion_mean", "motion_std", "music_mean", "music_std"):
+            setattr(self, name, nn.load_array(arrays, f"{prefix}norm.{name}", getattr(self, name)))
+        for name, enc in (("motion", self.motion_enc), ("music", self.music_enc)):
+            enc.pool_center = nn.load_array(arrays, f"{prefix}norm.{name}_pool_center",
+                                            enc.pool_center)
 
 
 # -- public operations ---------------------------------------------------------
@@ -191,6 +192,7 @@ def encode_motion(model: DualEncoder, seq: MotionSequence | np.ndarray) -> np.nd
     return encode_motion_many(model, frames[None])[0]
 
 
+@nn.no_grad()
 def encode_motion_many(model: DualEncoder, frames: np.ndarray) -> np.ndarray:
     return model.encode_motion_batch(frames).data
 
@@ -200,6 +202,7 @@ def encode_music(model: DualEncoder, track: MusicTrack | np.ndarray) -> np.ndarr
     return encode_music_many(model, feats[None])[0]
 
 
+@nn.no_grad()
 def encode_music_many(model: DualEncoder, feats: np.ndarray) -> np.ndarray:
     return model.encode_music_batch(feats).data
 

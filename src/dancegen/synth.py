@@ -322,10 +322,11 @@ class CorpusConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "CorpusConfig":
+        """Config from a saved dict; a missing key keeps its default."""
         d = dict(d)
-        d["bpm_range"] = tuple(d["bpm_range"])
-        d["genres"] = tuple(d["genres"])
-        d["emotions"] = tuple(d["emotions"])
+        for key in ("bpm_range", "genres", "emotions"):
+            if key in d:
+                d[key] = tuple(d[key])
         return CorpusConfig(**d)
 
 

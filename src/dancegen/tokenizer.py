@@ -75,18 +75,18 @@ class TokenizerConfig:
         the behaviour the code still runs; any other value raises."""
         kept = {}
         for key, value in d.items():
-            if key not in _RETIRED:
+            if key not in RETIRED_OPTIONS:
                 kept[key] = value
-            elif _RETIRED[key] is not None and value != _RETIRED[key]:
+            elif RETIRED_OPTIONS[key] is not None and value != RETIRED_OPTIONS[key]:
                 raise ParameterError(f"tokenizer option {key}={value!r} was removed; "
-                                     f"only {_RETIRED[key]!r} is supported")
+                                     f"only {RETIRED_OPTIONS[key]!r} is supported")
         return cls(**kept)
 
 
 # removed TokenizerConfig fields and the one value each may still hold in a
 # saved config (None: any value); the model runs exactly that behaviour
-_RETIRED = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
-            "gumbel_start": None, "gumbel_end": None}
+RETIRED_OPTIONS = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
+                   "gumbel_start": None, "gumbel_end": None}
 
 
 @dataclass
@@ -398,16 +398,15 @@ class MotionTokenizer(nn.Module):
         return arrays
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.load_state_arrays({k: v for k, v in arrays.items() if "." in k and not k.startswith(("codebook.", "norm."))})
+        self.load_state_arrays(arrays)
         for p in PARTS:
             for v, cb in enumerate(self.codebooks[p]):
-                cb.codes = arrays[f"codebook.{p}.{v}.codes"].astype(np.float64)
-                cb.ema_count = arrays[f"codebook.{p}.{v}.ema_count"].astype(np.float64)
-                cb.ema_sum = arrays[f"codebook.{p}.{v}.ema_sum"].astype(np.float64)
-                cb.usage = arrays[f"codebook.{p}.{v}.usage"].astype(np.int64)
+                for name in ("codes", "ema_count", "ema_sum", "usage"):
+                    setattr(cb, name, nn.load_array(arrays, f"codebook.{p}.{v}.{name}",
+                                                    getattr(cb, name)))
                 cb.initialized = True
-        self.norm_mean = arrays["norm.mean"].astype(np.float64)
-        self.norm_std = arrays["norm.std"].astype(np.float64)
+        self.norm_mean = nn.load_array(arrays, "norm.mean", self.norm_mean)
+        self.norm_std = nn.load_array(arrays, "norm.std", self.norm_std)
 
 
 # -- public operations ----------------------------------------------------------
@@ -429,6 +428,7 @@ def _pad_frames(data: np.ndarray) -> np.ndarray:
     return data
 
 
+@nn.no_grad()
 def encode(model: MotionTokenizer, seq: MotionSequence) -> EncodeResult:
     if seq.frames < DOWNSCALE:
         raise TooShortError(f"need at least {DOWNSCALE} frames, got {seq.frames}")
@@ -474,6 +474,7 @@ def decoder_apply(model: MotionTokenizer, sums: Tensor, denormalize: bool = True
     return out
 
 
+@nn.no_grad()
 def decode(model: MotionTokenizer, grid: TokenGrid, max_layers: int | None = None) -> MotionSequence:
     sums = code_sums(model, grid, max_layers)
     frames = decoder_apply(model, Tensor(sums[None])).data[0]
@@ -599,7 +600,8 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
 
         if not model.codebooks["body"][0].initialized:
             if log is not None:
-                virgin = tokenizer_loss(model, batch)
+                with nn.no_grad():
+                    virgin = tokenizer_loss(model, batch)
                 log.append({"step": -1, "total": float(virgin.total.data),
                             "recon": float(virgin.recon.data), "active": v1})
             _init_codebooks(model, batch, reset_rng)
@@ -642,7 +644,8 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
         while start < final_count:
             chunk = train_frames[start:start + batch_size]
             start += batch_size
-            ladder = model.ladder(model.encode_latents(_pad_batch(chunk)))
+            with nn.no_grad():
+                ladder = model.ladder(model.encode_latents(_pad_batch(chunk)))
             for part in PARTS:
                 res = ladder[part]
                 for v in range(v1):
@@ -656,6 +659,7 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
     return model
 
 
+@nn.no_grad()
 def _init_codebooks(model: MotionTokenizer, batch: np.ndarray, rng: np.random.Generator) -> None:
     latents = model.encode_latents(batch)
     ladder = model.ladder(latents)  # hard pass just to reach every stack input
@@ -664,6 +668,7 @@ def _init_codebooks(model: MotionTokenizer, batch: np.ndarray, rng: np.random.Ge
             cb.init_from(ladder[part]["q_inputs"][v], rng)
 
 
+@nn.no_grad()
 def refit_decoder_bypass(model: MotionTokenizer, batch: np.ndarray) -> None:
     """Closed-form ridge fit of the phase-resolved linear decoder.
 

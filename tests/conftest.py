@@ -1,6 +1,8 @@
 """Shared tiny fixtures: a small corpus and short trainings, session-scoped
 so the expensive pieces run once."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -54,3 +56,35 @@ def tiny_generator(tiny_corpus, tiny_tokenizer, tiny_retrieval_pair):
                           lr=1e-3, warmup_steps=5, seed=5)
     return train_generator(train, tiny_tokenizer, tiny_retrieval_pair["body"],
                            tiny_retrieval_pair["whole"], cfg)
+
+
+@pytest.fixture
+def tape_probe():
+    """Factory of a context that counts the op outputs joining a tape.  With
+    force=True ops record the tape even inside nn.no_grad(), to compare
+    tape-free results with taped ones.  The context yields a dict whose
+    "taped" entry holds the count."""
+    from dancegen.nn import tensor
+
+    @contextlib.contextmanager
+    def probe(force: bool = False):
+        make = tensor.Tensor._make
+        counts = {"taped": 0}
+
+        def counting_make(data, parents, backward):
+            previous = tensor._grad_enabled
+            tensor._grad_enabled = previous or force
+            try:
+                out = make(data, parents, backward)
+            finally:
+                tensor._grad_enabled = previous
+            counts["taped"] += out.requires_grad
+            return out
+
+        tensor.Tensor._make = staticmethod(counting_make)
+        try:
+            yield counts
+        finally:
+            tensor.Tensor._make = staticmethod(make)
+
+    return probe

@@ -18,9 +18,10 @@ from dancegen.generator import (
     track_features,
     unmask_schedule,
 )
+from dancegen.io import load_checkpoint, save_checkpoint
 from dancegen.nn.rng import generator as make_rng
 from dancegen.synth import generate_track
-from dancegen.tokenizer import encode
+from dancegen.tokenizer import encode, load_tokenizer, save_tokenizer
 
 
 class TestMaskTokens:
@@ -300,6 +301,43 @@ class TestGenerate:
         a = generate(tiny_generator, tiny_tokenizer, track, gcfg)
         b = generate(back, tiny_tokenizer, track, gcfg)
         np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestTapeFree:
+    def test_generate_leaves_no_grads_and_matches_taped_run(self, tiny_generator, tiny_tokenizer,
+                                                             tiny_corpus, tmp_path, tape_probe):
+        save_generator(tmp_path / "gen.snc", tiny_generator)
+        save_tokenizer(tmp_path / "tok.snc", tiny_tokenizer)
+        model, tok = load_generator(tmp_path / "gen.snc"), load_tokenizer(tmp_path / "tok.snc")
+        track = tiny_corpus[0].track
+        gcfg = GenerationConfig(iterations=3, seed=4)
+        with tape_probe() as counts:
+            free = generate(model, tok, track, gcfg)
+        assert counts["taped"] == 0
+        for m in (model, tok, model.cond_encoder):
+            assert all(p.grad is None for p in m.parameters())
+        with tape_probe(force=True) as counts:
+            taped = generate(model, tok, track, gcfg)
+        assert counts["taped"] > 0
+        np.testing.assert_array_equal(free.data, taped.data)
+
+    def test_masked_accuracy_matches_taped_run(self, tiny_generator, tiny_tokenizer, tiny_corpus,
+                                               tape_probe):
+        test = [s for s in tiny_corpus if s.split == "test"][:3]
+        with tape_probe() as counts:
+            free = masked_accuracy(tiny_generator, tiny_tokenizer, test, seed=2)
+        assert counts["taped"] == 0
+        with tape_probe(force=True):
+            assert masked_accuracy(tiny_generator, tiny_tokenizer, test, seed=2) == free
+
+    def test_missing_condition_array_named(self, tiny_generator, tmp_path):
+        path = tmp_path / "gen.snc"
+        save_generator(path, tiny_generator)
+        kind, config, seed, arrays = load_checkpoint(path)
+        del arrays["cond_encoder.norm.music_std"]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match="cond_encoder.norm.music_std"):
+            load_generator(path)
 
 
 class TestTrainGenerator:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dancegen import io as dio
-from dancegen.errors import MalformedSequenceError
+from dancegen.errors import MalformedSequenceError, ShapeError
 from dancegen.motion import FRAME_WIDTH, BlendshapeRig, MotionSequence, default_skeleton
 from dancegen.synth import generate_track
 
@@ -35,6 +35,15 @@ class TestMotionFile:
         with pytest.raises(MalformedSequenceError):
             dio.read_motion(path)
 
+    def test_truncated_file(self, tmp_path):
+        path = tmp_path / "clip.sdm1"
+        dio.write_motion(path, MotionSequence(np.zeros((8, FRAME_WIDTH)), fps=30))
+        raw = path.read_bytes()
+        for cut in (10, 16, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(MalformedSequenceError, match="truncated"):
+                dio.read_motion(path)
+
 
 class TestTrackFile:
     def test_roundtrip(self, tmp_path):
@@ -57,6 +66,18 @@ class TestTrackFile:
         rate, rows, channels = np.frombuffer(raw[4:16], dtype="<u4")
         assert channels == 35 and rows == track.rows
 
+    def test_truncated_file(self, tmp_path):
+        track = generate_track(seed=1)
+        path = tmp_path / "t.smt1"
+        dio.write_track(path, track)
+        raw = path.read_bytes()
+        # inside the header, the features, the beat count, the beats and the trailer
+        feats_end = 16 + 4 * track.features.size
+        for cut in (10, 100, feats_end + 2, feats_end + 6, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(MalformedSequenceError, match="truncated"):
+                dio.read_track(path)
+
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
@@ -76,6 +97,86 @@ class TestCheckpoint:
         dio.save_checkpoint(p1, "demo", {"k": 1}, 0, arrays)
         dio.save_checkpoint(p2, "demo", {"k": 1}, 0, arrays)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_truncated_file_raises_shape_error(self, tmp_path):
+        arrays = {"a": np.arange(12.0).reshape(3, 4), "b": np.arange(5, dtype=np.int64)}
+        path = tmp_path / "m.snc"
+        dio.save_checkpoint(path, "demo", {"k": 1}, 0, arrays)
+        raw = path.read_bytes()
+        header_end = 16 + int(np.frombuffer(raw[8:16], dtype="<u8")[0])
+        # inside the magic, the fixed header, the JSON header and the payload
+        for cut in (2, 10, 16, header_end - 1, header_end + 40, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ShapeError):
+                dio.load_checkpoint(path)
+
+    def test_inconsistent_directory_raises_shape_error(self, tmp_path):
+        path = tmp_path / "m.snc"
+        dio.save_checkpoint(path, "demo", {}, 0, {"a": np.zeros(4)})
+        raw = path.read_bytes()
+        bad = raw.replace(b'"shape": [4]', b'"shape": [5]')
+        path.write_bytes(bad)
+        with pytest.raises(ShapeError, match="shape"):
+            dio.load_checkpoint(path)
+
+
+class _FailingFile:
+    """A file whose first write stores half its bytes and then raises, as a
+    crash mid-write would."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        self.f.flush()
+        raise OSError("disk gone")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _writers():
+    seq = MotionSequence(np.ones((8, FRAME_WIDTH)), fps=30)
+    track = generate_track(seed=2, duration_s=4.0)
+    return {
+        "motion": lambda p: dio.write_motion(p, seq),
+        "track": lambda p: dio.write_track(p, track),
+        "checkpoint": lambda p: dio.save_checkpoint(p, "demo", {}, 0, {"w": np.ones(3)}),
+        "manifest": lambda p: dio.write_manifest(p, {"kind": "x", "rows": [1, 2]}),
+    }
+
+
+class TestCrashSafeWrites:
+    @pytest.mark.parametrize("kind", ["motion", "track", "checkpoint", "manifest"])
+    def test_interrupted_write_keeps_old_file(self, tmp_path, monkeypatch, kind):
+        write = _writers()[kind]
+        path = tmp_path / "artifact"
+        real_open = open
+        monkeypatch.setattr(dio, "open", lambda *a, **k: _FailingFile(real_open(*a, **k)),
+                            raising=False)
+        with pytest.raises(OSError, match="disk gone"):
+            write(path)
+        assert not path.exists()
+        path.write_bytes(b"old contents")
+        with pytest.raises(OSError, match="disk gone"):
+            write(path)
+        assert path.read_bytes() == b"old contents"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact"]
+
+    @pytest.mark.parametrize("kind", ["motion", "track", "checkpoint", "manifest"])
+    def test_complete_write_replaces_old_file(self, tmp_path, kind):
+        write = _writers()[kind]
+        path = tmp_path / "artifact"
+        path.write_bytes(b"old contents")
+        write(path)
+        fresh = tmp_path / "fresh"
+        write(fresh)
+        assert path.read_bytes() == fresh.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact", "fresh"]
 
 
 class TestTextFormats:

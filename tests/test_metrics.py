@@ -323,6 +323,16 @@ class TestFeatureExtractor:
         hand = train_extractor(list(tiny_train_frames), cfg)
         assert "hand" in hand.extractor_id
 
+    def test_features_match_taped_run(self, extractor, tiny_corpus, tape_probe):
+        seqs = [s.motion for s in tiny_corpus[:3]]
+        with tape_probe() as counts:
+            free = motion_features(extractor, seqs).vectors
+        assert counts["taped"] == 0
+        with tape_probe(force=True) as counts:
+            taped = motion_features(extractor, seqs).vectors
+        assert counts["taped"] > 0
+        np.testing.assert_array_equal(free, taped)
+
     def test_checkpoint_roundtrip(self, extractor, tiny_corpus, tmp_path):
         from dancegen.metrics import load_extractor, save_extractor
 

@@ -206,6 +206,64 @@ class TestModules:
             assert abs(an - fd) <= 2e-3 * max(abs(an), abs(fd), 1e-4), name
 
 
+class TestNoGrad:
+    OPS = {
+        "add": lambda a, b: a + b,
+        "matmul": lambda a, b: a @ b,
+        "gelu": lambda a, b: a.gelu(),
+        "concat": lambda a, b: nn.concat([a, b], axis=0),
+        "softmax": lambda a, b: nn.softmax(a),
+        "conv1d": lambda a, b: nn.conv1d(a.reshape(1, 4, 4), b.reshape(4, 4, 1), None),
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_results_hold_no_tape(self, op):
+        rng = np.random.default_rng(0)
+        a = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4, 4)), requires_grad=True)
+        taped = self.OPS[op](a, b)
+        with nn.no_grad():
+            out = self.OPS[op](a, b)
+        assert taped.requires_grad and taped._parents
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+        np.testing.assert_array_equal(out.data, taped.data)
+
+    def test_nesting_and_exceptions_restore_the_mode(self):
+        from dancegen.nn import tensor
+
+        w = Tensor(np.ones(3), requires_grad=True)
+        with nn.no_grad():
+            with nn.no_grad():
+                pass
+            assert not (w * 2.0).requires_grad
+        assert tensor._grad_enabled
+        with pytest.raises(RuntimeError):
+            with nn.no_grad():
+                raise RuntimeError("boom")
+        assert tensor._grad_enabled
+        assert (w * 2.0).requires_grad
+
+    def test_decorator(self):
+        from dancegen.nn import tensor
+
+        @nn.no_grad()
+        def double(x):
+            assert not tensor._grad_enabled
+            return x * 2.0
+
+        @nn.no_grad()
+        def fail():
+            raise ValueError("boom")
+
+        w = Tensor(np.ones(3), requires_grad=True)
+        assert not double(w).requires_grad
+        assert not double(w).requires_grad  # the decorator is reusable
+        with pytest.raises(ValueError):
+            fail()
+        assert tensor._grad_enabled and (w * 2.0).requires_grad
+
+
 class TestOptim:
     def test_adamw_reduces_quadratic(self):
         p = Tensor(np.array([5.0, -3.0]), requires_grad=True)

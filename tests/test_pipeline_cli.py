@@ -69,6 +69,26 @@ class TestConfig:
         with pytest.raises(ParameterError):
             apply_overrides(micro_config("x"), ["hrvq.nope=1"])
 
+    @pytest.mark.parametrize("section", ["corpus", "hrvq", "mmr_body", "mmr_whole", "magm",
+                                         "extractor", "generation", "metrics"])
+    def test_unknown_key_names_section_and_key(self, section):
+        from dancegen.errors import ParameterError
+
+        with pytest.raises(ParameterError, match=f"{section}.codebok_size"):
+            RunConfig.from_dict({section: {"codebok_size": 3}})
+
+    def test_unknown_section_rejected(self):
+        from dancegen.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="hrvg"):
+            RunConfig.from_dict({"hrvg": {"layers": 2}})
+
+    def test_partial_sections_keep_defaults(self):
+        cfg = RunConfig.from_dict({"corpus": {"n_samples": 7}, "magm": {"depth": 3}})
+        assert cfg.corpus == CorpusConfig(n_samples=7)
+        assert cfg.magm == GeneratorConfig(depth=3)
+        assert cfg.mmr_body == RetrievalConfig(variant="body")
+
     def test_seed_fanout_documented_and_stable(self):
         cfg = micro_config("x", seed=9).resolved()
         again = micro_config("x", seed=9).resolved()

@@ -251,3 +251,54 @@ class TestTraining:
                                 [s.track for s in test])
         assert ranks.shape == (len(test),)
         assert np.all(ranks >= 1) and np.all(ranks <= len(test))
+
+    def test_missing_norm_array_named(self, tiny_retrieval_pair, tmp_path):
+        from dancegen.io import load_checkpoint, save_checkpoint
+
+        path = tmp_path / "mmr.snc"
+        save_retrieval(path, tiny_retrieval_pair["whole"])
+        kind, config, seed, arrays = load_checkpoint(path)
+        del arrays["norm.music_pool_center"]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match="norm.music_pool_center"):
+            load_retrieval(path)
+
+
+class TestTapeFree:
+    def test_encoders_leave_no_grads_and_match_taped_run(self, tiny_retrieval_pair, tiny_corpus,
+                                                        tmp_path, tape_probe):
+        save_retrieval(tmp_path / "mmr.snc", tiny_retrieval_pair["whole"])
+        model = load_retrieval(tmp_path / "mmr.snc")
+        sample = tiny_corpus[0]
+        with tape_probe() as counts:
+            free = (encode_motion(model, sample.motion), encode_music(model, sample.track),
+                    segment_latents(model, sample.motion))
+        assert counts["taped"] == 0
+        assert all(p.grad is None for p in model.parameters())
+        with tape_probe(force=True) as counts:
+            taped = (encode_motion(model, sample.motion), encode_music(model, sample.track),
+                     segment_latents(model, sample.motion))
+        assert counts["taped"] > 0
+        for a, b in zip(free, taped):
+            np.testing.assert_array_equal(a, b)
+
+    def test_pool_centers_match_taped_run(self, tiny_corpus, tape_probe):
+        motions = np.stack([s.motion.data for s in tiny_corpus[:4]])
+        feats = np.stack([s.track.features for s in tiny_corpus[:4]])
+        free, taped = DualEncoder(RetrievalConfig(hidden=8)), DualEncoder(RetrievalConfig(hidden=8))
+        with tape_probe() as counts:
+            free.set_pool_centers(motions, feats)
+        assert counts["taped"] == 0
+        with tape_probe(force=True):
+            taped.set_pool_centers(motions, feats)
+        np.testing.assert_array_equal(free.motion_enc.pool_center, taped.motion_enc.pool_center)
+        np.testing.assert_array_equal(free.music_enc.pool_center, taped.music_enc.pool_center)
+
+    def test_batch_encoders_keep_the_tape(self, tiny_corpus):
+        model = DualEncoder(RetrievalConfig(hidden=8))
+        z = model.encode_motion_batch(tiny_corpus[0].motion.data[None])
+        c = model.encode_music_batch(tiny_corpus[0].track.features[None])
+        assert z.requires_grad and c.requires_grad
+        (z * c).sum().backward()
+        assert model.motion_enc.proj.weight.grad is not None
+        assert model.music_enc.proj.weight.grad is not None

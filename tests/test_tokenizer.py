@@ -428,3 +428,76 @@ class TestCheckpointCompat:
         save_checkpoint(path, kind, config, seed, arrays)
         with pytest.raises(ShapeError, match="decoder.skip.bias"):
             load_tokenizer(path)
+
+    @pytest.mark.parametrize("name", ["codebook.body.0.codes", "codebook.face.2.usage",
+                                      "norm.std"])
+    def test_missing_codebook_and_norm_arrays_named(self, tiny_tokenizer, tmp_path, name):
+        path = tmp_path / "tok.snc"
+        save_tokenizer(path, tiny_tokenizer)
+        kind, config, seed, arrays = load_checkpoint(path)
+        del arrays[name]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match=name):
+            load_tokenizer(path)
+
+    def test_misshaped_codebook_named(self, tiny_tokenizer, tmp_path):
+        path = tmp_path / "tok.snc"
+        save_tokenizer(path, tiny_tokenizer)
+        kind, config, seed, arrays = load_checkpoint(path)
+        arrays["codebook.hand.1.codes"] = arrays["codebook.hand.1.codes"][:, :-1]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ShapeError, match="codebook.hand.1.codes"):
+            load_tokenizer(path)
+
+
+class TestTapeFree:
+    def test_encode_decode_leave_no_grads_and_match_taped_run(self, tiny_tokenizer, tiny_corpus,
+                                                               tmp_path, tape_probe):
+        save_tokenizer(tmp_path / "tok.snc", tiny_tokenizer)
+        model = load_tokenizer(tmp_path / "tok.snc")
+        seq = tiny_corpus[0].motion
+        with tape_probe() as counts:
+            free = encode(model, seq)
+            frames = decode(model, free.grid).data
+        assert counts["taped"] == 0
+        assert all(p.grad is None for p in model.parameters())
+        with tape_probe(force=True) as counts:
+            taped = encode(model, seq)
+            taped_frames = decode(model, taped.grid).data
+        assert counts["taped"] > 0
+        np.testing.assert_array_equal(free.grid.indices, taped.grid.indices)
+        for part in free.quantized:
+            np.testing.assert_array_equal(free.initial[part], taped.initial[part])
+            np.testing.assert_array_equal(free.final_residual[part], taped.final_residual[part])
+        np.testing.assert_array_equal(frames, taped_frames)
+
+    def test_training_matches_taped_run(self, tiny_train_frames, tape_probe):
+        cfg = TokenizerConfig(codebook_size=32, code_dim=16, layers=2, hidden=12,
+                              steps=4, batch=4, crop_frames=32, seed=13,
+                              refit_every=2, warmup_steps=2)
+        log_free, log_taped = [], []
+        free = train_tokenizer(tiny_train_frames, cfg, log=log_free)
+        with tape_probe(force=True):
+            taped = train_tokenizer(tiny_train_frames, cfg, log=log_taped)
+        assert log_free == log_taped and log_free[0]["step"] == -1
+        for (ka, va), (kb, vb) in zip(sorted(free.state().items()), sorted(taped.state().items())):
+            np.testing.assert_array_equal(va, vb, err_msg=ka)
+
+    def test_loss_and_decoder_keep_the_tape(self, tiny_train_frames):
+        from dancegen.tokenizer import decoder_apply
+
+        model = MotionTokenizer(TokenizerConfig(codebook_size=16, code_dim=8, layers=1,
+                                                hidden=8, seed=2))
+        for part in model.codebooks:
+            for cb in model.codebooks[part]:
+                cb.init_from(np.random.default_rng(0).normal(size=(32, 8)),
+                             np.random.default_rng(1))
+        loss = tokenizer_loss(model, tiny_train_frames[:2, :16])
+        assert loss.total.requires_grad
+        loss.total.backward()
+        assert all(p.grad is not None for p in model.encoders[0].parameters())
+        sums = nn.Tensor(np.ones((1, 24, 3)), requires_grad=True)
+        out = decoder_apply(model, sums)
+        assert out.requires_grad
+        out.sum().backward()
+        assert sums.grad is not None and np.any(sums.grad != 0)
