@@ -312,18 +312,48 @@ def _freeze(module: nn.Module) -> None:
         p.requires_grad = False
 
 
+@dataclass
+class TrainingSet:
+    """The training samples as the frozen models see them: token grids
+    (N, V+1, 3, n), whole- and body-variant music latents, and per-token
+    track features.  Generators trained on the same samples and frozen
+    models can share one instead of re-encoding every clip."""
+    grids: np.ndarray
+    cond: np.ndarray
+    c_body: np.ndarray
+    feats: np.ndarray
+
+
+def encode_training_set(samples: list, tokenizer: MotionTokenizer, mmr_body: DualEncoder,
+                        mmr_whole: DualEncoder) -> TrainingSet:
+    """What train_generator fits on: each sample encoded by the frozen models."""
+    from .retrieval import encode_music
+    from .tokenizer import encode
+
+    if not samples:
+        raise ParameterError("empty training set")
+    grids = np.stack([encode(tokenizer, s.motion).grid.indices for s in samples])
+    n = grids.shape[-1]
+    return TrainingSet(
+        grids=grids,
+        cond=np.stack([encode_music(mmr_whole, s.track) for s in samples]),
+        c_body=np.stack([encode_music(mmr_body, s.track) for s in samples]),
+        feats=np.stack([track_features(s.track, n) for s in samples]),
+    )
+
+
 def train_generator(samples: list, tokenizer: MotionTokenizer, mmr_body: DualEncoder,
                     mmr_whole: DualEncoder, config: GeneratorConfig,
-                    log: list | None = None) -> "MaskedGenerator":
+                    log: list | None = None,
+                    encoded: TrainingSet | None = None) -> "MaskedGenerator":
     """Fit both stages on tokenized training samples.
 
     The tokenizer and both retrieval models are frozen; the whole-variant
     music encoder is copied into the generator as its conditioning pathway
-    (so generation needs no separate retrieval checkpoint).
+    (so generation needs no separate retrieval checkpoint).  `encoded` is
+    encode_training_set() of the same arguments, for callers that train
+    several generators; it is computed here when not given.
     """
-    from .retrieval import encode_music
-    from .tokenizer import encode
-
     if not samples:
         raise ParameterError("empty training set")
     _freeze(tokenizer)
@@ -332,11 +362,11 @@ def train_generator(samples: list, tokenizer: MotionTokenizer, mmr_body: DualEnc
     model = MaskedGenerator(config)
     model.cond_encoder = mmr_whole
 
-    grids = np.stack([encode(tokenizer, s.motion).grid.indices for s in samples])
-    n = grids.shape[-1]
-    cond = np.stack([encode_music(mmr_whole, s.track) for s in samples])
-    c_body = np.stack([encode_music(mmr_body, s.track) for s in samples])
-    feats = np.stack([track_features(s.track, n) for s in samples])
+    if encoded is None:
+        encoded = encode_training_set(samples, tokenizer, mmr_body, mmr_whole)
+    if encoded.grids.shape[0] != len(samples):
+        raise PairingError("encoded training set and samples differ in length")
+    grids, cond, c_body, feats = encoded.grids, encoded.cond, encoded.c_body, encoded.feats
 
     params = [p for p in model.parameters() if p.requires_grad]
     opt = nn.AdamW(params, lr=config.lr)

@@ -17,6 +17,7 @@ from dancegen.generator import (
     GenerationConfig,
     GeneratorConfig,
     base_loss,
+    encode_training_set,
     generate,
     masked_accuracy,
     residual_loss,
@@ -456,11 +457,14 @@ def _magm_config(lam: float, seed: int) -> GeneratorConfig:
 @pytest.fixture(scope="session")
 def generator_ablation(accept_corpus, codec_hrvq, mmr_models):
     train = split_of(accept_corpus, "train")
+    # the six generators share the frozen models, so the clips are encoded once
+    encoded = encode_training_set(train, codec_hrvq, mmr_models["body"], mmr_models["whole"])
     out = {}
     for seed in GEN_SEEDS:
         for lam in (0.5, 0.0):
             model = train_generator(train, codec_hrvq, mmr_models["body"],
-                                    mmr_models["whole"], _magm_config(lam, seed))
+                                    mmr_models["whole"], _magm_config(lam, seed),
+                                    encoded=encoded)
             out[(seed, lam)] = model
     return out
 

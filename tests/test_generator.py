@@ -355,3 +355,22 @@ class TestTrainGenerator:
         for (ka, va), (kb, vb) in zip(sorted(a.state_arrays().items()),
                                       sorted(b.state_arrays().items())):
             np.testing.assert_array_equal(va, vb, err_msg=ka)
+
+    def test_shared_encoded_training_set(self, tiny_corpus, tiny_tokenizer, tiny_retrieval_pair):
+        from dancegen.generator import encode_training_set, train_generator
+
+        train = [s for s in tiny_corpus if s.split == "train"][:6]
+        body, whole = tiny_retrieval_pair["body"], tiny_retrieval_pair["whole"]
+        cfg = GeneratorConfig(codebook_size=64, code_dim=32, layers_v=2, width=16,
+                              depth=1, res_depth=1, heads=2, steps=4, batch=4,
+                              lr=1e-3, warmup_steps=2, seed=32)
+        encoded = encode_training_set(train, tiny_tokenizer, body, whole)
+        assert encoded.grids.shape[:3] == (6, 3, 3)
+        assert encoded.cond.shape[0] == encoded.c_body.shape[0] == encoded.feats.shape[0] == 6
+        a = train_generator(train, tiny_tokenizer, body, whole, cfg)
+        b = train_generator(train, tiny_tokenizer, body, whole, cfg, encoded=encoded)
+        for (ka, va), (kb, vb) in zip(sorted(a.state_arrays().items()),
+                                      sorted(b.state_arrays().items())):
+            np.testing.assert_array_equal(va, vb, err_msg=ka)
+        with pytest.raises(PairingError):
+            train_generator(train[:5], tiny_tokenizer, body, whole, cfg, encoded=encoded)

@@ -73,6 +73,49 @@ class TestElementwise:
         np.testing.assert_allclose(t.grad, (x > 0).astype(float))
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestCube:
+    @pytest.mark.parametrize("scale", [1e-95, 1e-30, 1e-3, 0.5, 1.0, 3.0, 1e3, 1e30, 1e99])
+    def test_bits_match_numpy_pow(self, scale):
+        x = np.random.default_rng(17).normal(size=200_000) * scale
+        assert _same_bits(nn.tensor.cube(x), x**3)
+
+    def test_bits_match_across_each_binade(self):
+        rng = np.random.default_rng(18)
+        for lo in range(-4, 4):
+            x = rng.uniform(2.0**lo, 2.0**(lo + 1), size=50_000) * rng.choice([-1.0, 1.0], 50_000)
+            assert _same_bits(nn.tensor.cube(x), x**3)
+
+    def test_layout_matches_numpy_pow(self):
+        # reductions over the result depend on its memory layout
+        base = np.random.default_rng(20).normal(size=(6, 10, 8))
+        for x in (base.transpose(0, 2, 1), base[:, 1:], base[::-1], np.asfortranarray(base),
+                  base[:, :, ::2]):
+            out = nn.tensor.cube(x)
+            assert out.strides == (x**3).strides
+            assert _same_bits(out, x**3)
+
+    def test_special_values_and_shapes(self):
+        special = np.array([0.0, -0.0, 1.0, -1.0, -2.0, 0.5, -0.125, np.inf, -np.inf, np.nan,
+                            -np.nan, 5e-324, -5e-324, -1e-100, -1e-300, -1e100, -1e103, 1e200,
+                            -np.nextafter(1.0, 2.0), -np.nextafter(2.0, 0.0)])
+        with np.errstate(all="ignore"):
+            assert _same_bits(nn.tensor.cube(special), special**3)
+            for x in (special.reshape(4, 5), special[::3], np.zeros((0, 3)), np.array(-1.5)):
+                out = nn.tensor.cube(x)
+                assert isinstance(out, np.ndarray)
+                assert _same_bits(out, np.asarray(x**3))
+
+    def test_gelu_bits_unchanged(self):
+        x = np.random.default_rng(19).normal(size=(2, 33, 64)) * 2.0
+        c = np.sqrt(2.0 / np.pi)
+        reference = 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))
+        assert _same_bits(Tensor(x).gelu().data, reference)
+
+
 class TestShapeOps:
     def test_matmul(self):
         rng = np.random.default_rng(4)
