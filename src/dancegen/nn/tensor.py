@@ -52,7 +52,7 @@ _CUBE_CHUNK = 8192  # elements per pass: the work buffers stay in cache
 
 
 def cube(x: Array) -> Array:
-    """x**3, bit for bit as numpy's pow computes it, in about half the time.
+    """x**3, bit for bit as numpy's pow computes it, in half to two thirds of the time.
 
     numpy's float64 pow is quick for non-negative bases but takes a slow
     path for negative ones, and half of every gelu input is negative.  Here
