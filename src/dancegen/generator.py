@@ -344,28 +344,26 @@ def encode_training_set(samples: list, tokenizer: MotionTokenizer, mmr_body: Dua
 
 def train_generator(samples: list, tokenizer: MotionTokenizer, mmr_body: DualEncoder,
                     mmr_whole: DualEncoder, config: GeneratorConfig,
-                    log: list | None = None,
-                    encoded: TrainingSet | None = None) -> "MaskedGenerator":
+                    log: list | None = None) -> "MaskedGenerator":
     """Fit both stages on tokenized training samples.
 
     The tokenizer and both retrieval models are frozen; the whole-variant
     music encoder is copied into the generator as its conditioning pathway
-    (so generation needs no separate retrieval checkpoint).  `encoded` is
-    encode_training_set() of the same arguments, for callers that train
-    several generators; it is computed here when not given.
+    (so generation needs no separate retrieval checkpoint).
     """
-    if not samples:
-        raise ParameterError("empty training set")
+    encoded = encode_training_set(samples, tokenizer, mmr_body, mmr_whole)
+    return _fit_generator(encoded, tokenizer, mmr_body, mmr_whole, config, log)
+
+
+def _fit_generator(encoded: TrainingSet, tokenizer: MotionTokenizer, mmr_body: DualEncoder,
+                   mmr_whole: DualEncoder, config: GeneratorConfig,
+                   log: list | None = None) -> "MaskedGenerator":
+    """train_generator's optimisation loop on already encoded samples."""
     _freeze(tokenizer)
     _freeze(mmr_body)
     _freeze(mmr_whole)
     model = MaskedGenerator(config)
     model.cond_encoder = mmr_whole
-
-    if encoded is None:
-        encoded = encode_training_set(samples, tokenizer, mmr_body, mmr_whole)
-    if encoded.grids.shape[0] != len(samples):
-        raise PairingError("encoded training set and samples differ in length")
     grids, cond, c_body, feats = encoded.grids, encoded.cond, encoded.c_body, encoded.feats
 
     params = [p for p in model.parameters() if p.requires_grad]
@@ -376,7 +374,7 @@ def train_generator(samples: list, tokenizer: MotionTokenizer, mmr_body: DualEnc
     gumbel_rng = generator(config.seed, "generator-gumbel")
     layer_rng = generator(config.seed, "generator-layer")
 
-    count = len(samples)
+    count = len(grids)
     batch_size = min(config.batch, count)
     for step in range(config.steps):
         idx = batch_rng.choice(count, size=batch_size, replace=False)

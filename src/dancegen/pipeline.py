@@ -56,13 +56,7 @@ from .retrieval import (
     train_retrieval,
 )
 from .synth import EMOTION_CENTROIDS, CorpusConfig, make_corpus, split_of
-from .tokenizer import (
-    RETIRED_OPTIONS,
-    TokenizerConfig,
-    load_tokenizer,
-    save_tokenizer,
-    train_tokenizer,
-)
+from .tokenizer import TokenizerConfig, load_tokenizer, save_tokenizer, train_tokenizer
 
 ENV_ROOT = "DANCEGEN_HOME"
 
@@ -115,13 +109,11 @@ class RunConfig:
         unknown section or key raises ParameterError."""
         defaults = RunConfig()
         for name, doc in d.items():
-            if name in ("seed", "out_dir"):
+            if name in ("seed", "out_dir", "hrvq"):  # TokenizerConfig.from_dict checks hrvq
                 continue
             if not dataclasses.is_dataclass(getattr(defaults, name, None)):
                 raise ParameterError(f"unknown config section {name!r}")
             known = {f.name for f in dataclasses.fields(getattr(defaults, name))}
-            if name == "hrvq":
-                known |= RETIRED_OPTIONS.keys()
             for key in doc:
                 if key not in known:
                     raise ParameterError(f"unknown config key {name + '.' + key!r}")

@@ -21,7 +21,7 @@ so that every prefix of the stack remains a usable decode path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -72,21 +72,25 @@ class TokenizerConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TokenizerConfig":
         """Config from a saved dict.  A retired key is dropped when it holds
-        the behaviour the code still runs; any other value raises."""
+        the behaviour the code still runs; any other value raises, and so
+        does an unknown key, named as in a run config's `hrvq` section."""
+        known = {f.name for f in fields(cls)}
         kept = {}
         for key, value in d.items():
-            if key not in RETIRED_OPTIONS:
+            if key in known:
                 kept[key] = value
-            elif RETIRED_OPTIONS[key] is not None and value != RETIRED_OPTIONS[key]:
+            elif key not in _RETIRED:
+                raise ParameterError(f"unknown config key {'hrvq.' + key!r}")
+            elif _RETIRED[key] is not None and value != _RETIRED[key]:
                 raise ParameterError(f"tokenizer option {key}={value!r} was removed; "
-                                     f"only {RETIRED_OPTIONS[key]!r} is supported")
+                                     f"only {_RETIRED[key]!r} is supported")
         return cls(**kept)
 
 
 # removed TokenizerConfig fields and the one value each may still hold in a
 # saved config (None: any value); the model runs exactly that behaviour
-RETIRED_OPTIONS = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
-                   "gumbel_start": None, "gumbel_end": None}
+_RETIRED = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
+            "gumbel_start": None, "gumbel_end": None}
 
 
 @dataclass

@@ -16,13 +16,13 @@ from dancegen import nn
 from dancegen.generator import (
     GenerationConfig,
     GeneratorConfig,
+    _fit_generator,
     base_loss,
     encode_training_set,
     generate,
     masked_accuracy,
     residual_loss,
     track_features,
-    train_generator,
 )
 from dancegen.metrics import (
     BeatSet,
@@ -462,9 +462,8 @@ def generator_ablation(accept_corpus, codec_hrvq, mmr_models):
     out = {}
     for seed in GEN_SEEDS:
         for lam in (0.5, 0.0):
-            model = train_generator(train, codec_hrvq, mmr_models["body"],
-                                    mmr_models["whole"], _magm_config(lam, seed),
-                                    encoded=encoded)
+            model = _fit_generator(encoded, codec_hrvq, mmr_models["body"],
+                                   mmr_models["whole"], _magm_config(lam, seed))
             out[(seed, lam)] = model
     return out
 

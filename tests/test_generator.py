@@ -356,8 +356,9 @@ class TestTrainGenerator:
                                       sorted(b.state_arrays().items())):
             np.testing.assert_array_equal(va, vb, err_msg=ka)
 
-    def test_shared_encoded_training_set(self, tiny_corpus, tiny_tokenizer, tiny_retrieval_pair):
-        from dancegen.generator import encode_training_set, train_generator
+    def test_encoded_training_set_trains_like_the_samples(self, tiny_corpus, tiny_tokenizer,
+                                                          tiny_retrieval_pair):
+        from dancegen.generator import _fit_generator, encode_training_set, train_generator
 
         train = [s for s in tiny_corpus if s.split == "train"][:6]
         body, whole = tiny_retrieval_pair["body"], tiny_retrieval_pair["whole"]
@@ -368,9 +369,7 @@ class TestTrainGenerator:
         assert encoded.grids.shape[:3] == (6, 3, 3)
         assert encoded.cond.shape[0] == encoded.c_body.shape[0] == encoded.feats.shape[0] == 6
         a = train_generator(train, tiny_tokenizer, body, whole, cfg)
-        b = train_generator(train, tiny_tokenizer, body, whole, cfg, encoded=encoded)
+        b = _fit_generator(encoded, tiny_tokenizer, body, whole, cfg)
         for (ka, va), (kb, vb) in zip(sorted(a.state_arrays().items()),
                                       sorted(b.state_arrays().items())):
             np.testing.assert_array_equal(va, vb, err_msg=ka)
-        with pytest.raises(PairingError):
-            train_generator(train[:5], tiny_tokenizer, body, whole, cfg, encoded=encoded)

@@ -416,6 +416,14 @@ class TestCheckpointCompat:
         with pytest.raises(ParameterError, match=key):
             RunConfig.from_dict({"hrvq": {key: value}})
 
+    def test_unknown_config_key_rejected(self, tiny_tokenizer, tmp_path):
+        cfg = tiny_tokenizer.config
+        path = tmp_path / "unknown.snc"
+        save_checkpoint(path, "tokenizer", {**cfg.to_dict(), "codebok_size": 3}, cfg.seed,
+                        tiny_tokenizer.state())
+        with pytest.raises(ParameterError, match="hrvq.codebok_size"):
+            load_tokenizer(path)
+
     def test_missing_and_misshaped_arrays(self, tiny_tokenizer, tmp_path):
         path = tmp_path / "tok.snc"
         save_tokenizer(path, tiny_tokenizer)
