@@ -9,36 +9,26 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
-from pathlib import Path
-
-import numpy as np
 
 from . import io as dio
 from .errors import DanceGenError, DependencyError
 from .generator import GenerationConfig, generate, load_generator
-from .metrics import load_extractor
 from .motion import recover_global_positions
 from .pipeline import (
     RunConfig,
     apply_overrides,
-    artifact_root,
     load_config,
     run_pipeline,
-    save_config,
     stage_corpus,
     stage_evaluate,
-    stage_generate,
     stage_hrvq,
     stage_magm,
     stage_mmr,
     verify_provenance,
-    write_provenance,
 )
 from .retrieval import load_retrieval, retrieve
-from .synth import CorpusConfig, make_corpus
-from .tokenizer import TokenGrid, decode, encode, load_tokenizer, save_tokenizer, train_tokenizer
+from .tokenizer import TokenGrid, decode, encode, load_tokenizer
 
 
 def _config_from_args(args) -> RunConfig:
@@ -132,7 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     except DependencyError as e:
         print(f"error in stage {e.stage}: {e}", file=sys.stderr)
         return 2
-    except DanceGenError as e:
+    except (DanceGenError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
@@ -140,45 +130,20 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     cmd = args.command
     if cmd == "gen-corpus":
-        cfg = _config_from_args(args)
-        cfg = cfg.resolved()
-        samples = make_corpus(cfg.corpus)
-        path = dio.save_corpus(samples, args.out_dir, cfg.corpus.to_dict())
-        print(path)
+        print(stage_corpus(_config_from_args(args).resolved(), args.out_dir))
         return 0
 
     if cmd == "train-hrvq":
-        cfg = _config_from_args(args).resolved()
-        samples, _ = dio.load_corpus(args.corpus)
-        frames = np.stack([s.motion.data for s in samples if s.split == "train"])
-        model = train_tokenizer(frames, cfg.hrvq)
-        save_tokenizer(args.out, model)
-        print(args.out)
+        print(stage_hrvq(_config_from_args(args).resolved(), args.corpus, args.out))
         return 0
 
     if cmd == "train-mmr":
-        from .retrieval import save_retrieval, train_retrieval
-        cfg = _config_from_args(args).resolved()
-        rcfg = cfg.mmr_body if args.variant == "body" else cfg.mmr_whole
-        samples, _ = dio.load_corpus(args.corpus)
-        train = [s for s in samples if s.split == "train"]
-        model = train_retrieval([s.motion.data for s in train],
-                                [s.track.features for s in train], rcfg)
-        save_retrieval(args.out, model)
-        print(args.out)
+        print(stage_mmr(_config_from_args(args).resolved(), args.variant, args.corpus, args.out))
         return 0
 
     if cmd == "train-magm":
-        from .generator import save_generator, train_generator
-        cfg = _config_from_args(args).resolved()
-        samples, _ = dio.load_corpus(args.corpus)
-        train = [s for s in samples if s.split == "train"]
-        tokenizer = load_tokenizer(args.hrvq_ckpt)
-        mmr_body = load_retrieval(args.mmr_body_ckpt)
-        mmr_whole = load_retrieval(args.mmr_whole_ckpt)
-        model = train_generator(train, tokenizer, mmr_body, mmr_whole, cfg.magm)
-        save_generator(args.out, model)
-        print(args.out)
+        print(stage_magm(_config_from_args(args).resolved(), args.corpus, args.hrvq_ckpt,
+                         args.mmr_body_ckpt, args.mmr_whole_ckpt, args.out))
         return 0
 
     if cmd == "tokenize":
@@ -232,11 +197,8 @@ def _dispatch(args) -> int:
         return 0
 
     if cmd == "evaluate":
-        cfg = _config_from_args(args).resolved()
-        root = Path(args.gt).parent.parent
-        report = _evaluate_files(cfg, Path(args.gt), Path(args.gen),
-                                 Path(args.mmr_whole_ckpt), Path(args.report))
-        print(report)
+        print(stage_evaluate(_config_from_args(args).resolved(), args.gt, args.gen,
+                             args.mmr_whole_ckpt, args.report))
         return 0
 
     if cmd == "verify":
@@ -255,30 +217,6 @@ def _dispatch(args) -> int:
         return 0
 
     raise DanceGenError(f"unhandled command {cmd}")
-
-
-def _evaluate_files(cfg: RunConfig, gt_manifest: Path, gen_manifest: Path,
-                    mmr_ckpt: Path, report: Path) -> Path:
-    """Standalone evaluate over explicit file arguments (outside run dirs)."""
-    import shutil
-    import tempfile
-
-    from .pipeline import stage_evaluate
-
-    root = gt_manifest.parent.parent
-    # stage_evaluate reads fixed artifact names under one root; map them
-    if (gen_manifest.parent.name != "generated" or gt_manifest.parent.name != "corpus"
-            or gen_manifest.parent.parent != root):
-        raise DanceGenError(
-            "evaluate expects <root>/corpus/manifest.json and <root>/generated/manifest.json")
-    expected = root / "mmr_whole.snc"
-    if not expected.exists():
-        shutil.copyfile(mmr_ckpt, expected)
-    out = stage_evaluate(cfg, root)
-    if Path(report) != out:
-        shutil.copyfile(out, report)
-        shutil.copyfile(out.with_suffix(".csv"), Path(report).with_suffix(".csv"))
-    return Path(report)
 
 
 if __name__ == "__main__":

@@ -24,7 +24,6 @@ import hashlib
 import json
 import os
 import struct
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np

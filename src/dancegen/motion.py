@@ -9,7 +9,7 @@ Joint positions/rotations cover joints 1..51, velocities cover 0..51.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,18 +38,6 @@ FACE = slice(623, 723)
 
 BODY_WIDTH = 263
 HAND_WIDTH = 360
-
-
-def _jp_channels(joint: int) -> slice:
-    return slice(JP.start + 3 * (joint - 1), JP.start + 3 * joint)
-
-
-def _jr_channels(joint: int) -> slice:
-    return slice(JR.start + 6 * (joint - 1), JR.start + 6 * joint)
-
-
-def _jv_channels(joint: int) -> slice:
-    return slice(JV.start + 3 * joint, JV.start + 3 * (joint + 1))
 
 
 @dataclass(frozen=True)

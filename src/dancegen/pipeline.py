@@ -2,9 +2,10 @@
 generation, and evaluation, all across one config with per-stage seeds fanned
 out from a single root seed (splitmix derivation in nn.rng).
 
-Every stage writes one artifact and is skipped when that artifact already
-exists, so interrupted runs resume.  A provenance file records the hash of
-each artifact for the verifier.
+Each stage function takes the paths it reads and the path it writes.
+run_pipeline lays the artifacts out under one run root and skips a stage
+whose artifact already exists, so interrupted runs resume.  A provenance
+file records the hash of each artifact for the verifier.
 """
 
 from __future__ import annotations
@@ -23,13 +24,10 @@ from .errors import DependencyError, ParameterError
 from .metrics import (
     BeatSet,
     ExtractorConfig,
-    FeatureSet,
     beat_alignment_score,
-    classify_expression,
     diversity,
     emotion_alignment_score,
     fid,
-    load_extractor,
     mmr_matching_score,
     motion_features,
     multimodality,
@@ -59,9 +57,6 @@ from .synth import EMOTION_CENTROIDS, CorpusConfig, make_corpus, split_of
 from .tokenizer import TokenizerConfig, load_tokenizer, save_tokenizer, train_tokenizer
 
 ENV_ROOT = "DANCEGEN_HOME"
-
-STAGES = ("gen-corpus", "train-mmr-body", "train-mmr-whole", "train-hrvq",
-          "train-magm", "generate", "evaluate")
 
 
 @dataclass
@@ -210,83 +205,72 @@ def artifact_root(cfg: RunConfig) -> Path:
 # -- stages -------------------------------------------------------------------
 
 
-def stage_corpus(cfg: RunConfig, root: Path) -> Path:
-    manifest = root / "corpus" / "manifest.json"
-    if manifest.exists():
-        return manifest
-    samples = make_corpus(cfg.corpus)
-    return dio.save_corpus(samples, root / "corpus", cfg.corpus.to_dict())
-
-
-def _need(path: Path, stage: str) -> Path:
+def _need(path: str | Path, stage: str) -> Path:
+    path = Path(path)
     if not path.exists():
-        raise DependencyError(f"missing prerequisite {path.name!r}", stage)
+        raise DependencyError(f"missing prerequisite {str(path)!r}", stage)
     return path
 
 
-def stage_mmr(cfg: RunConfig, root: Path, variant: str) -> Path:
-    out = root / f"mmr_{variant}.snc"
-    if out.exists():
-        return out
-    stage = f"train-mmr-{variant}"
-    samples, _ = dio.load_corpus(_need(root / "corpus" / "manifest.json", stage))
-    train = split_of(samples, "train")
+def _train_split(corpus: str | Path, stage: str):
+    samples, _ = dio.load_corpus(_need(corpus, stage))
+    return split_of(samples, "train")
+
+
+def stage_corpus(cfg: RunConfig, out_dir: str | Path) -> Path:
+    """Write the synthetic corpus under `out_dir`; returns its manifest."""
+    return dio.save_corpus(make_corpus(cfg.corpus), out_dir, cfg.corpus.to_dict())
+
+
+def stage_mmr(cfg: RunConfig, variant: str, corpus: str | Path, out: str | Path) -> Path:
+    train = _train_split(corpus, f"train-mmr-{variant}")
     rcfg = cfg.mmr_body if variant == "body" else cfg.mmr_whole
     model = train_retrieval([s.motion.data for s in train],
                             [s.track.features for s in train], rcfg)
     save_retrieval(out, model)
-    return out
+    return Path(out)
 
 
-def stage_hrvq(cfg: RunConfig, root: Path) -> Path:
-    out = root / "hrvq.snc"
-    if out.exists():
-        return out
-    samples, _ = dio.load_corpus(_need(root / "corpus" / "manifest.json", "train-hrvq"))
-    train = split_of(samples, "train")
+def stage_hrvq(cfg: RunConfig, corpus: str | Path, out: str | Path) -> Path:
+    train = _train_split(corpus, "train-hrvq")
     frames = np.stack([s.motion.data for s in train])
     model = train_tokenizer(frames, cfg.hrvq)
     save_tokenizer(out, model)
-    return out
+    return Path(out)
 
 
-def stage_magm(cfg: RunConfig, root: Path) -> Path:
-    out = root / "magm.snc"
-    if out.exists():
-        return out
-    samples, _ = dio.load_corpus(_need(root / "corpus" / "manifest.json", "train-magm"))
-    tokenizer = load_tokenizer(_need(root / "hrvq.snc", "train-magm"))
-    mmr_body = load_retrieval(_need(root / "mmr_body.snc", "train-magm"))
-    mmr_whole = load_retrieval(_need(root / "mmr_whole.snc", "train-magm"))
-    model = train_generator(split_of(samples, "train"), tokenizer, mmr_body, mmr_whole, cfg.magm)
+def stage_magm(cfg: RunConfig, corpus: str | Path, hrvq: str | Path, mmr_body: str | Path,
+               mmr_whole: str | Path, out: str | Path) -> Path:
+    stage = "train-magm"
+    train = _train_split(corpus, stage)
+    model = train_generator(train, load_tokenizer(_need(hrvq, stage)),
+                            load_retrieval(_need(mmr_body, stage)),
+                            load_retrieval(_need(mmr_whole, stage)), cfg.magm)
     save_generator(out, model)
-    return out
+    return Path(out)
 
 
-def stage_generate(cfg: RunConfig, root: Path) -> Path:
-    out_manifest = root / "generated" / "manifest.json"
-    if out_manifest.exists():
-        return out_manifest
-    samples, _ = dio.load_corpus(_need(root / "corpus" / "manifest.json", "generate"))
-    tokenizer = load_tokenizer(_need(root / "hrvq.snc", "generate"))
-    model = load_generator(_need(root / "magm.snc", "generate"))
-    out_dir = root / "generated"
+def stage_generate(cfg: RunConfig, corpus: str | Path, hrvq: str | Path, magm: str | Path,
+                   out_manifest: str | Path) -> Path:
+    """Generate `mm_generations` dances per test track beside `out_manifest`;
+    wall time goes to `timings.txt` there."""
+    samples, manifest = dio.load_corpus(_need(corpus, "generate"))
+    tokenizer = load_tokenizer(_need(hrvq, "generate"))
+    model = load_generator(_need(magm, "generate"))
+    out_manifest = Path(out_manifest)
+    out_dir = out_manifest.parent
     out_dir.mkdir(parents=True, exist_ok=True)
+    track_files = {row["id"]: Path(corpus).parent / row["track"] for row in manifest["samples"]}
     rows = []
     cost_before = model.forward_count
     clips = 0
     t0 = time.perf_counter()
     for s in split_of(samples, "test"):
-        entry = {"id": s.sample_id, "track": f"../corpus/tracks/{s.sample_id}.smt1", "gens": []}
+        entry = {"id": s.sample_id, "track": os.path.relpath(track_files[s.sample_id], out_dir),
+                 "gens": []}
         for g in range(cfg.metrics.mm_generations):
-            gcfg = GenerationConfig(
-                cfg_scale_base=cfg.generation.cfg_scale_base,
-                cfg_scale_residual=cfg.generation.cfg_scale_residual,
-                iterations=cfg.generation.iterations,
-                temperature_start=cfg.generation.temperature_start,
-                temperature_end=cfg.generation.temperature_end,
-                seed=derive_seed(cfg.generation.seed, s.sample_id, g),
-            )
+            gcfg = dataclasses.replace(cfg.generation,
+                                       seed=derive_seed(cfg.generation.seed, s.sample_id, g))
             dance = generate(model, tokenizer, s.track, gcfg)
             rel = f"{s.sample_id}_g{g}.sdm1"
             dio.write_motion(out_dir / rel, dance)
@@ -298,40 +282,41 @@ def stage_generate(cfg: RunConfig, root: Path) -> Path:
     doc = {"kind": "generated", "rows": rows, "forward_passes_per_clip": passes,
            "config": cfg.generation.to_dict()}
     dio.write_manifest(out_manifest, doc)
-    (root / "timings.txt").write_text(
+    (out_dir / "timings.txt").write_text(
         f"generate: {wall:.2f} s wall for {clips} clips "
         f"({wall / max(clips, 1):.3f} s/clip on this machine)\n")
     return out_manifest
 
 
-def _extractor_for(cfg: RunConfig, root: Path, channels: str, train_frames) -> Path:
-    path = root / f"extractor_{channels}.snc"
-    if not path.exists():
-        xcfg = dataclasses.replace(cfg.extractor, channels=channels,
-                                   seed=derive_seed(cfg.extractor.seed, channels))
-        model = train_extractor(train_frames, xcfg)
-        save_extractor(path, model)
-    return path
+def _extractor(cfg: RunConfig, channels: str, train_frames, out_dir: Path):
+    xcfg = dataclasses.replace(cfg.extractor, channels=channels,
+                               seed=derive_seed(cfg.extractor.seed, channels))
+    model = train_extractor(train_frames, xcfg)
+    save_extractor(out_dir / f"extractor_{channels}.snc", model)
+    return model
 
 
-def stage_evaluate(cfg: RunConfig, root: Path) -> Path:
-    report_path = root / "report.txt"
-    if report_path.exists():
-        return report_path
-    samples, _ = dio.load_corpus(_need(root / "corpus" / "manifest.json", "evaluate"))
-    gen_manifest = dio.read_manifest(_need(root / "generated" / "manifest.json", "evaluate"))
-    mmr_whole = load_retrieval(_need(root / "mmr_whole.snc", "evaluate"))
+def stage_evaluate(cfg: RunConfig, corpus: str | Path, generated: str | Path,
+                   mmr_whole: str | Path, report: str | Path) -> Path:
+    """Score the generated dances against the corpus test split.  Writes
+    `report` and the same scores as CSV beside it, and trains the two
+    feature extractors the scores need into `extractor_<channels>.snc`
+    there as well."""
+    samples, _ = dio.load_corpus(_need(corpus, "evaluate"))
+    generated = _need(generated, "evaluate")
+    gen_manifest = dio.read_manifest(generated)
+    mmr_whole = load_retrieval(_need(mmr_whole, "evaluate"))
+    report = Path(report)
     train = split_of(samples, "train")
     test = {s.sample_id: s for s in split_of(samples, "test")}
 
     train_frames = [s.motion.data for s in train]
-    ex_whole = load_extractor(_extractor_for(cfg, root, "whole", train_frames))
-    ex_hand = load_extractor(_extractor_for(cfg, root, "hand", train_frames))
+    ex_whole = _extractor(cfg, "whole", train_frames, report.parent)
+    ex_hand = _extractor(cfg, "hand", train_frames, report.parent)
 
-    gen_dir = root / "generated"
     primaries, per_track_gens, rows_meta = [], [], []
     for row in gen_manifest["rows"]:
-        gens = [dio.read_motion(gen_dir / rel) for rel in row["gens"]]
+        gens = [dio.read_motion(generated.parent / rel) for rel in row["gens"]]
         primaries.append(gens[0])
         per_track_gens.append(gens)
         rows_meta.append(row["id"])
@@ -369,8 +354,8 @@ def stage_evaluate(cfg: RunConfig, root: Path) -> Path:
     scores["EAS"] = emotion_alignment_score(faces, labels, EMOTION_CENTROIDS)
     scores["RunTime"] = float(gen_manifest["forward_passes_per_clip"])
 
-    _write_report(report_path, root / "report.csv", cfg, scores)
-    return report_path
+    _write_report(report, report.with_suffix(".csv"), cfg, scores)
+    return report
 
 
 COLUMNS = ("FID", "FID_h", "Div", "Div_h", "MM", "MMR-MS", "BAS", "EAS", "RunTime")
@@ -409,31 +394,41 @@ def _write_report(txt_path: Path, csv_path: Path, cfg: RunConfig, scores: dict) 
 # -- orchestration ----------------------------------------------------------------
 
 
+_CORPUS = "corpus/manifest.json"
+_GENERATED = "generated/manifest.json"
+
+# stage -> (artifact under the run root, call(cfg, root, artifact))
+_PIPELINE = {
+    "gen-corpus": (_CORPUS, lambda cfg, r, out: stage_corpus(cfg, out.parent)),
+    "train-mmr-body": ("mmr_body.snc", lambda cfg, r, out: stage_mmr(cfg, "body", r / _CORPUS, out)),
+    "train-mmr-whole": ("mmr_whole.snc",
+                        lambda cfg, r, out: stage_mmr(cfg, "whole", r / _CORPUS, out)),
+    "train-hrvq": ("hrvq.snc", lambda cfg, r, out: stage_hrvq(cfg, r / _CORPUS, out)),
+    "train-magm": ("magm.snc", lambda cfg, r, out: stage_magm(
+        cfg, r / _CORPUS, r / "hrvq.snc", r / "mmr_body.snc", r / "mmr_whole.snc", out)),
+    "generate": (_GENERATED, lambda cfg, r, out: stage_generate(
+        cfg, r / _CORPUS, r / "hrvq.snc", r / "magm.snc", out)),
+    "evaluate": ("report.txt", lambda cfg, r, out: stage_evaluate(
+        cfg, r / _CORPUS, r / _GENERATED, r / "mmr_whole.snc", out)),
+}
+STAGES = tuple(_PIPELINE)
+
+
 def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
-    """Run (or resume) the full pipeline; returns the report path."""
+    """Run (or resume) the full pipeline under the run root; a stage whose
+    artifact already exists there is skipped.  Returns the report path."""
     cfg = cfg.resolved()
     root = artifact_root(cfg)
     root.mkdir(parents=True, exist_ok=True)
     save_config(root / "config.json", cfg)
     for stage in stages:
-        if stage == "gen-corpus":
-            stage_corpus(cfg, root)
-        elif stage == "train-mmr-body":
-            stage_mmr(cfg, root, "body")
-        elif stage == "train-mmr-whole":
-            stage_mmr(cfg, root, "whole")
-        elif stage == "train-hrvq":
-            stage_hrvq(cfg, root)
-        elif stage == "train-magm":
-            stage_magm(cfg, root)
-        elif stage == "generate":
-            stage_generate(cfg, root)
-        elif stage == "evaluate":
-            stage_evaluate(cfg, root)
-        else:
+        if stage not in _PIPELINE:
             raise ParameterError(f"unknown stage {stage!r}")
+        artifact, call = _PIPELINE[stage]
+        if not (root / artifact).exists():
+            call(cfg, root, root / artifact)
     write_provenance(cfg, root)
-    return root / "report.txt"
+    return root / _PIPELINE["evaluate"][0]
 
 
 def write_provenance(cfg: RunConfig, root: Path) -> Path:

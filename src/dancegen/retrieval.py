@@ -20,7 +20,7 @@ from .errors import (
     TrainingFailureError,
     VariantError,
 )
-from .motion import DEFAULT_FPS, FRAME_WIDTH, MotionSequence, default_spans
+from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
 from .nn.rng import generator
 from .synth import MusicTrack, TRACK_FEATURE_DIM

@@ -11,7 +11,7 @@ track's emotion.  Everything is seed-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 

@@ -1,6 +1,7 @@
 """Config round trips, seed fan-out, stage orchestration, CLI surface."""
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 
 from dancegen.cli import main as cli_main
 from dancegen.errors import DependencyError
+from dancegen.io import sha256_file
 from dancegen.pipeline import (
     COLUMNS,
     MetricParams,
@@ -170,8 +172,10 @@ class TestPipeline:
 
     def test_missing_prerequisite_names_stage(self, tmp_path):
         cfg = micro_config(str(tmp_path / "nope"))
+        nope = tmp_path / "nope"
         with pytest.raises(DependencyError) as err:
-            stage_magm(cfg.resolved(), tmp_path / "nope")
+            stage_magm(cfg.resolved(), nope / "corpus" / "manifest.json", nope / "hrvq.snc",
+                       nope / "mmr_body.snc", nope / "mmr_whole.snc", nope / "magm.snc")
         assert err.value.stage == "train-magm"
 
     def test_checkpoints_embed_config_echo(self, micro_run):
@@ -256,6 +260,38 @@ class TestCli:
         root = artifact_root(cfg.resolved())
         assert cli_main(["verify", "--root", str(root)]) == 0
 
+    @pytest.mark.parametrize("argv, code, stage", [
+        (["train-hrvq", "--corpus", "{missing}", "--out", "{tmp}/h.snc"], 2, "train-hrvq"),
+        (["train-mmr", "--variant", "whole", "--corpus", "{missing}", "--out", "{tmp}/m.snc"],
+         2, "train-mmr-whole"),
+        (["train-magm", "--corpus", "{root}/corpus/manifest.json", "--hrvq-ckpt", "{missing}",
+          "--mmr-body-ckpt", "{root}/mmr_body.snc", "--mmr-whole-ckpt", "{root}/mmr_whole.snc",
+          "--out", "{tmp}/g.snc"], 2, "train-magm"),
+        (["evaluate", "--gt", "{root}/corpus/manifest.json", "--gen", "{missing}",
+          "--mmr-whole-ckpt", "{root}/mmr_whole.snc", "--report", "{tmp}/r.txt"], 2, "evaluate"),
+        (["tokenize", "--ckpt", "{missing}", "--in", "{motion}", "--out", "{tmp}/t"], 1, None),
+        (["detokenize", "--ckpt", "{root}/hrvq.snc", "--in", "{missing}", "--out", "{tmp}/d"],
+         1, None),
+        (["generate", "--magm-ckpt", "{root}/magm.snc", "--hrvq-ckpt", "{root}/hrvq.snc",
+          "--track", "{missing}", "--out", "{tmp}/g.sdm1"], 1, None),
+        (["retrieve", "--mmr-ckpt", "{missing}", "--query", "{track}",
+          "--gallery", "{root}/corpus/manifest.json"], 1, None),
+    ])
+    def test_missing_input_is_one_error_line(self, argv, code, stage, tmp_path, micro_run,
+                                             capsys):
+        _, report = micro_run
+        root = report.parent
+        sample = json.loads((root / "corpus" / "manifest.json").read_text())["samples"][0]
+        missing = tmp_path / "absent"
+        argv = [a.format(root=root, tmp=tmp_path, missing=missing,
+                         motion=root / "corpus" / sample["motion"],
+                         track=root / "corpus" / sample["track"]) for a in argv]
+        assert cli_main(argv) == code
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"error in stage {stage}:" if stage else "error:")
+        assert str(missing) in lines[0]
+
     def test_console_entrypoint(self):
         out = subprocess.run([sys.executable, "-m", "dancegen.cli", "--help"],
                              capture_output=True, text=True)
@@ -264,3 +300,83 @@ class TestCli:
                     "detokenize", "generate", "retrieve", "evaluate", "verify",
                     "run-pipeline"):
             assert sub in out.stdout
+
+
+def _files(root):
+    return {str(p.relative_to(root)): sha256_file(p) for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestCliStages:
+    """The stage subcommands, run on a pipeline's own inputs, rebuild its artifacts."""
+
+    def test_gen_corpus_matches_run(self, tmp_path, micro_run):
+        _, report = micro_run
+        root = report.parent
+        assert cli_main(["gen-corpus", "--config", str(root / "config.json"),
+                         "--out-dir", str(tmp_path / "corpus")]) == 0
+        assert _files(tmp_path / "corpus") == _files(root / "corpus")
+
+    @pytest.mark.parametrize("argv, artifact", [
+        (["train-mmr", "--variant", "body"], "mmr_body.snc"),
+        (["train-mmr", "--variant", "whole"], "mmr_whole.snc"),
+        (["train-hrvq"], "hrvq.snc"),
+        (["train-magm", "--hrvq-ckpt", "{root}/hrvq.snc", "--mmr-body-ckpt",
+          "{root}/mmr_body.snc", "--mmr-whole-ckpt", "{root}/mmr_whole.snc"], "magm.snc"),
+    ])
+    def test_training_command_matches_run(self, argv, artifact, tmp_path, micro_run):
+        _, report = micro_run
+        root = report.parent
+        out = tmp_path / artifact
+        argv = [a.format(root=root) for a in argv]
+        assert cli_main(argv + ["--config", str(root / "config.json"),
+                                "--corpus", str(root / "corpus" / "manifest.json"),
+                                "--out", str(out)]) == 0
+        assert out.read_bytes() == (root / artifact).read_bytes()
+
+
+class TestCliEvaluate:
+    """`dancegen evaluate` scores exactly the files and config it is given."""
+
+    @staticmethod
+    def _evaluate(root, report, data=None, mmr=None, extra=()):
+        data = data or root
+        return cli_main(["evaluate", "--config", str(root / "config.json"),
+                         "--gt", str(data / "corpus" / "manifest.json"),
+                         "--gen", str(data / "generated" / "manifest.json"),
+                         "--mmr-whole-ckpt", str(mmr or root / "mmr_whole.snc"),
+                         "--report", str(report), *extra])
+
+    def test_inputs_outside_a_run_root_stay_untouched(self, tmp_path, micro_run):
+        _, run_report = micro_run
+        root = run_report.parent
+        data = tmp_path / "data"
+        shutil.copytree(root / "corpus", data / "corpus")
+        shutil.copytree(root / "generated", data / "generated")
+        before = _files(data)
+        report = tmp_path / "out" / "report.txt"
+        report.parent.mkdir()
+        assert self._evaluate(root, report, data=data) == 0
+        assert _files(data) == before
+        assert report.read_bytes() == run_report.read_bytes()
+        assert sorted(p.name for p in report.parent.iterdir()) == [
+            "extractor_hand.snc", "extractor_whole.snc", "report.csv", "report.txt"]
+
+    def test_missing_checkpoint_fails(self, tmp_path, micro_run, capsys):
+        _, run_report = micro_run
+        report = tmp_path / "report.txt"
+        assert self._evaluate(run_report.parent, report, mmr=tmp_path / "absent.snc") == 2
+        assert "absent.snc" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_override_reaches_report(self, tmp_path, micro_run):
+        _, run_report = micro_run
+        root = run_report.parent
+        reports = {}
+        for sigma in ("0.1", "0.5"):
+            report = tmp_path / sigma / "report.txt"
+            report.parent.mkdir()
+            assert self._evaluate(root, report, extra=["--set", f"metrics.bas_sigma={sigma}"]) == 0
+            header, values = report.with_suffix(".csv").read_text().splitlines()
+            reports[sigma] = dict(zip(header.split(","), values.split(",")))
+        assert reports["0.1"]["BAS"] != reports["0.5"]["BAS"]
+        assert reports["0.1"]["FID"] == reports["0.5"]["FID"]
