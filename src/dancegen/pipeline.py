@@ -157,7 +157,11 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_dict(json.loads(Path(path).read_text()))
+    try:
+        doc = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as e:
+        raise ParameterError(f"{path}: not a JSON config ({e})") from e
+    return RunConfig.from_dict(doc)
 
 
 def save_config(path: str | Path, cfg: RunConfig) -> None:
@@ -419,6 +423,11 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
     artifact already exists there is skipped.  Returns the report path."""
     cfg = cfg.resolved()
     root = artifact_root(cfg)
+    if (root / "config.json").exists():
+        drift = _config_drift(load_config(root / "config.json"), cfg)
+        if drift:
+            raise ParameterError(f"{root} was built with a different config "
+                                 f"({', '.join(drift)}); use a new out_dir")
     root.mkdir(parents=True, exist_ok=True)
     save_config(root / "config.json", cfg)
     for stage in stages:
@@ -429,6 +438,18 @@ def run_pipeline(cfg: RunConfig, stages: tuple[str, ...] = STAGES) -> Path:
             call(cfg, root, root / artifact)
     write_provenance(cfg, root)
     return root / _PIPELINE["evaluate"][0]
+
+
+def _config_drift(old: RunConfig, new: RunConfig) -> list[str]:
+    """The `section.key`s whose values differ; out_dir only names the root."""
+    a, b = (json.loads(json.dumps(c.to_dict())) for c in (old, new))
+    drift = []
+    for name in sorted(a.keys() - {"out_dir"}):
+        if isinstance(a[name], dict):
+            drift += [f"{name}.{key}" for key in sorted(a[name]) if a[name][key] != b[name][key]]
+        elif a[name] != b[name]:
+            drift.append(name)
+    return drift
 
 
 def write_provenance(cfg: RunConfig, root: Path) -> Path:

@@ -9,6 +9,8 @@ Two variants exist: "body" encodes the 263 body channels, "whole" the full
 
 from __future__ import annotations
 
+import hashlib
+from collections import OrderedDict
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -26,6 +28,8 @@ from .nn.rng import generator
 from .synth import MusicTrack, TRACK_FEATURE_DIM
 
 VARIANT_WIDTHS = {"body": 263, "whole": FRAME_WIDTH}
+# bytes of latents each model's memo keeps; the least recently used go first
+_MEMO_BYTES = 8 << 20
 
 
 @dataclass
@@ -126,6 +130,8 @@ class DualEncoder(nn.Module):
         self.motion_std = np.ones(self.motion_width)
         self.music_mean = np.zeros(TRACK_FEATURE_DIM)
         self.music_std = np.ones(TRACK_FEATURE_DIM)
+        self._memo: OrderedDict = OrderedDict()  # see _memo_encode; never saved
+        self._memo_nbytes = 0
 
     def set_normalizers(self, motions: np.ndarray, feats: np.ndarray) -> None:
         self.motion_mean = motions.mean(axis=0)
@@ -187,9 +193,46 @@ class DualEncoder(nn.Module):
 # -- public operations ---------------------------------------------------------
 
 
+def _memo_encode(model: DualEncoder, side: str, batches: list) -> list[np.ndarray]:
+    """`encode_<side>_many(model, x)` for each batch x, computed once per
+    model state and input content.
+
+    The key covers all the side's output depends on: the encoder's parameters
+    and pool centre, the side's mean and std, the variant, and the input's
+    shape and float64 bytes.  An in-place edit of a clip or a weight,
+    `load_state` or `set_normalizers` therefore misses instead of returning a
+    stale latent.  The memo lives on the model and keeps at most _MEMO_BYTES
+    of results.  They are handed out as copies, so callers may write into them.
+    """
+    enc, mean, std, encode = (
+        (model.motion_enc, model.motion_mean, model.motion_std, encode_motion_many)
+        if side == "motion" else
+        (model.music_enc, model.music_mean, model.music_std, encode_music_many))
+    h = hashlib.sha256(f"{side}:{model.config.variant}".encode())
+    for a in [p.data for p in enc.parameters()] + [enc.pool_center, mean, std]:
+        a = np.ascontiguousarray(a, dtype=np.float64)
+        h.update(repr(a.shape).encode())
+        h.update(a)
+    state = h.digest()
+    memo, out = model._memo, []
+    for x in batches:
+        x64 = np.ascontiguousarray(x, dtype=np.float64)
+        key = (state, x64.shape, hashlib.sha256(x64).digest())
+        z = memo.get(key)
+        if z is None:
+            z = memo[key] = encode(model, x)
+            model._memo_nbytes += z.nbytes
+            while model._memo_nbytes > _MEMO_BYTES:
+                model._memo_nbytes -= memo.popitem(last=False)[1].nbytes
+        else:
+            memo.move_to_end(key)
+        out.append(z.copy())
+    return out
+
+
 def encode_motion(model: DualEncoder, seq: MotionSequence | np.ndarray) -> np.ndarray:
     frames = seq.data if isinstance(seq, MotionSequence) else np.asarray(seq)
-    return encode_motion_many(model, frames[None])[0]
+    return _memo_encode(model, "motion", [frames[None]])[0][0]
 
 
 @nn.no_grad()
@@ -199,7 +242,7 @@ def encode_motion_many(model: DualEncoder, frames: np.ndarray) -> np.ndarray:
 
 def encode_music(model: DualEncoder, track: MusicTrack | np.ndarray) -> np.ndarray:
     feats = track.features if isinstance(track, MusicTrack) else np.asarray(track)
-    return encode_music_many(model, feats[None])[0]
+    return _memo_encode(model, "music", [feats[None]])[0][0]
 
 
 @nn.no_grad()
@@ -210,9 +253,9 @@ def encode_music_many(model: DualEncoder, feats: np.ndarray) -> np.ndarray:
 def segment_latents(model: DualEncoder, item, seconds: float = 1.0) -> np.ndarray:
     """Latents of non-overlapping 1-second windows, (T_segments, 256)."""
     if isinstance(item, MotionSequence):
-        frames, rate, enc = item.data, item.fps, encode_motion_many
+        frames, rate, side = item.data, item.fps, "motion"
     elif isinstance(item, MusicTrack):
-        frames, rate, enc = item.features, item.feature_rate, encode_music_many
+        frames, rate, side = item.features, item.feature_rate, "music"
     else:
         raise ParameterError("segment_latents expects a MotionSequence or MusicTrack")
     win = int(round(seconds * rate))
@@ -220,7 +263,7 @@ def segment_latents(model: DualEncoder, item, seconds: float = 1.0) -> np.ndarra
     if count < 1:
         raise ParameterError("clip shorter than one segment")
     segs = np.stack([frames[i * win:(i + 1) * win] for i in range(count)])
-    return enc(model, segs)
+    return _memo_encode(model, side, [segs])[0]
 
 
 def info_nce(S, keep_mask: np.ndarray | None = None) -> Tensor:
@@ -350,13 +393,23 @@ def retrieve(model: DualEncoder, query_track: MusicTrack, gallery: list, k: int)
     """
     if not gallery:
         raise ParameterError("gallery is empty")
-    if k > len(gallery):
-        raise ParameterError(f"k={k} exceeds gallery size {len(gallery)}")
+    if not 1 <= k <= len(gallery):
+        raise ParameterError(f"k={k} must lie in 1..{len(gallery)}, the gallery size")
+    latents, pending, batches = [None] * len(gallery), [], []
+    for i, g in enumerate(gallery):
+        frames = g.data if isinstance(g, MotionSequence) else np.asarray(g)
+        if frames.ndim == 2:
+            pending.append(i)
+            batches.append(frames[None])
+        elif frames.shape == (model.config.latent_dim,):
+            latents[i] = frames
+        else:
+            raise ShapeError(f"gallery item {i} has shape {frames.shape}: expected (T, D) "
+                             f"frames or a ({model.config.latent_dim},) latent")
+    for i, z in zip(pending, _memo_encode(model, "motion", batches)):
+        latents[i] = z[0]
     c = encode_music(model, query_track)
-    latents = np.stack([
-        g if isinstance(g, np.ndarray) and g.ndim == 1 else encode_motion(model, g)
-        for g in gallery
-    ])
+    latents = np.stack(latents)
     order = rank_by_cosine(c, latents)[:k]
     return order, latents[order] @ c
 

@@ -57,6 +57,15 @@ class TestConfig:
         back = load_config(path)
         assert back.to_dict() == cfg.to_dict()
 
+    def test_malformed_json_rejected(self, tmp_path):
+        from dancegen.errors import ParameterError
+        from dancegen.pipeline import load_config
+
+        path = tmp_path / "config.json"
+        path.write_text('{"seed": 5, "cor')
+        with pytest.raises(ParameterError, match="not a JSON config"):
+            load_config(path)
+
     def test_overrides(self):
         cfg = micro_config("x")
         out = apply_overrides(cfg, ["hrvq.layers=4", "metrics.bas_sigma=0.2",
@@ -157,6 +166,19 @@ class TestPipeline:
         report2 = run_pipeline(cfg)  # only evaluate reruns, everything cached
         assert report2.read_text() == before
 
+    def test_changed_config_refuses_to_resume(self, micro_run):
+        import dataclasses
+
+        from dancegen.errors import ParameterError
+
+        cfg, report = micro_run
+        root = report.parent
+        before = _files(root)
+        drifted = dataclasses.replace(cfg, metrics=dataclasses.replace(cfg.metrics, bas_sigma=0.5))
+        with pytest.raises(ParameterError, match=r"metrics\.bas_sigma"):
+            run_pipeline(drifted)
+        assert _files(root) == before
+
     def test_provenance_verifies_and_detects_tamper(self, micro_run):
         cfg, report = micro_run
         from dancegen.pipeline import artifact_root
@@ -252,6 +274,17 @@ class TestCli:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
+
+    def test_retrieve_cli_rejects_k_below_one(self, capsys, micro_run):
+        _, report = micro_run
+        root = report.parent
+        track_rel = json.loads((root / "corpus" / "manifest.json").read_text())["samples"][0]["track"]
+        code = cli_main(["retrieve", "--mmr-ckpt", str(root / "mmr_whole.snc"),
+                         "--query", str(root / "corpus" / track_rel),
+                         "--gallery", str(root / "corpus" / "manifest.json"), "--k", "0"])
+        assert code != 0
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     def test_verify_cli(self, micro_run, capsys):
         cfg, _ = micro_run

@@ -9,7 +9,9 @@ from dancegen.retrieval import (
     DualEncoder,
     RetrievalConfig,
     encode_motion,
+    encode_motion_many,
     encode_music,
+    encode_music_many,
     false_negative_mask,
     info_nce,
     median_rank,
@@ -111,10 +113,13 @@ class TestEncoders:
             assert z.shape == (256,)
 
     def test_determinism(self, tiny_retrieval_pair, tiny_corpus):
+        # the uncached primitive, so both calls run the encoder
         model = tiny_retrieval_pair["whole"]
-        a = encode_motion(model, tiny_corpus[0].motion)
-        b = encode_motion(model, tiny_corpus[0].motion)
+        frames = tiny_corpus[0].motion.data[None]
+        a = encode_motion_many(model, frames)[0]
+        b = encode_motion_many(model, frames)[0]
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(encode_motion(model, tiny_corpus[0].motion), a)
 
     def test_seed_changes_track_latent(self, tiny_retrieval_pair):
         from dancegen.synth import generate_track
@@ -166,6 +171,17 @@ class TestRetrieve:
     def test_empty_gallery(self, tiny_retrieval_pair, tiny_corpus):
         with pytest.raises(ParameterError):
             retrieve(tiny_retrieval_pair["whole"], tiny_corpus[0].track, [], k=1)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one(self, tiny_retrieval_pair, tiny_corpus, k):
+        gallery = [s.motion for s in tiny_corpus[:4]]
+        with pytest.raises(ParameterError):
+            retrieve(tiny_retrieval_pair["whole"], tiny_corpus[0].track, gallery, k=k)
+
+    def test_latent_of_wrong_length(self, tiny_retrieval_pair, tiny_corpus):
+        gallery = [tiny_corpus[0].motion, np.ones(255) / np.sqrt(255)]
+        with pytest.raises(ShapeError, match="gallery item 1"):
+            retrieve(tiny_retrieval_pair["whole"], tiny_corpus[0].track, gallery, k=1)
 
     def test_random_latents_hit_chance_rate(self):
         rng = np.random.default_rng(5)
@@ -275,9 +291,10 @@ class TestTapeFree:
                     segment_latents(model, sample.motion))
         assert counts["taped"] == 0
         assert all(p.grad is None for p in model.parameters())
+        fresh = load_retrieval(tmp_path / "mmr.snc")  # an empty memo, so the encoders run
         with tape_probe(force=True) as counts:
-            taped = (encode_motion(model, sample.motion), encode_music(model, sample.track),
-                     segment_latents(model, sample.motion))
+            taped = (encode_motion(fresh, sample.motion), encode_music(fresh, sample.track),
+                     segment_latents(fresh, sample.motion))
         assert counts["taped"] > 0
         for a, b in zip(free, taped):
             np.testing.assert_array_equal(a, b)
@@ -302,3 +319,154 @@ class TestTapeFree:
         (z * c).sum().backward()
         assert model.motion_enc.proj.weight.grad is not None
         assert model.music_enc.proj.weight.grad is not None
+
+
+class TestLatentMemo:
+    """encode_motion, encode_music, segment_latents and retrieve remember
+    latents by model state and input content; encode_*_many are the
+    uncached reference."""
+
+    @staticmethod
+    def _copy(model, tmp_path):
+        save_retrieval(tmp_path / "copy.snc", model)
+        return load_retrieval(tmp_path / "copy.snc")
+
+    @staticmethod
+    def _count_encodes(monkeypatch):
+        from dancegen import retrieval
+
+        calls = {"motion": 0, "music": 0}
+        for side, fn in (("motion", retrieval.encode_motion_many),
+                         ("music", retrieval.encode_music_many)):
+            def counted(model, x, side=side, fn=fn):
+                calls[side] += 1
+                return fn(model, x)
+            monkeypatch.setattr(retrieval, f"encode_{side}_many", counted)
+        return calls
+
+    @staticmethod
+    def _windows(frames, rate):
+        return np.stack([frames[i * rate:(i + 1) * rate]
+                         for i in range(frames.shape[0] // rate)])
+
+    @pytest.mark.parametrize("variant", ["body", "whole"])
+    def test_bitwise_equal_to_uncached(self, tiny_retrieval_pair, tiny_corpus, tmp_path,
+                                       variant):
+        model = self._copy(tiny_retrieval_pair[variant], tmp_path)
+        motion, track = tiny_corpus[1].motion, tiny_corpus[1].track
+        want = {
+            "motion": encode_motion_many(model, motion.data[None])[0],
+            "music": encode_music_many(model, track.features[None])[0],
+            "motion_segments": encode_motion_many(model, self._windows(motion.data, motion.fps)),
+            "music_segments": encode_music_many(
+                model, self._windows(track.features, track.feature_rate)),
+        }
+        for _ in range(2):  # a miss, then a hit
+            got = {
+                "motion": encode_motion(model, motion),
+                "music": encode_music(model, track),
+                "motion_segments": segment_latents(model, motion),
+                "music_segments": segment_latents(model, track),
+            }
+            for name in want:
+                np.testing.assert_array_equal(got[name], want[name], err_msg=name)
+
+    def test_repeats_hit(self, tiny_retrieval_pair, tiny_corpus, tmp_path, monkeypatch):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        calls = self._count_encodes(monkeypatch)
+        gallery = [s.motion for s in tiny_corpus[:4]]
+        first = retrieve(model, tiny_corpus[0].track, gallery, k=4)
+        second = retrieve(model, tiny_corpus[0].track, gallery, k=4)
+        assert calls == {"motion": 4, "music": 1}
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_in_place_clip_edit_re_encodes(self, tiny_retrieval_pair, tiny_corpus, tmp_path,
+                                           monkeypatch):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        gallery = [MotionSequence(s.motion.data.copy()) for s in tiny_corpus[:4]]
+        track = tiny_corpus[0].track
+        _, before = retrieve(model, track, gallery, k=4)
+        calls = self._count_encodes(monkeypatch)
+        gallery[2].data[10:40] += 0.5
+        order, sims = retrieve(model, track, gallery, k=4)
+        assert calls["motion"] == 1
+        fresh_order, fresh_sims = retrieve(self._copy(model, tmp_path), track, gallery, k=4)
+        np.testing.assert_array_equal(order, fresh_order)
+        np.testing.assert_array_equal(sims, fresh_sims)
+        assert not np.array_equal(np.sort(sims), np.sort(before))
+
+    def test_in_place_weight_edit_re_encodes(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        motion = tiny_corpus[0].motion
+        before = encode_motion(model, motion)
+        model.motion_enc.conv0.weight.data[0, 0, 0] += 0.5
+        after = encode_motion(model, motion)
+        np.testing.assert_array_equal(after, encode_motion_many(model, motion.data[None])[0])
+        assert not np.array_equal(after, before)
+
+    def test_load_state_re_encodes(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        other = DualEncoder(RetrievalConfig(variant="whole", hidden=24, seed=99))
+        sample = tiny_corpus[0]
+        before = (encode_motion(model, sample.motion), encode_music(model, sample.track))
+        model.load_state(other.state())
+        after = (encode_motion(model, sample.motion), encode_music(model, sample.track))
+        np.testing.assert_array_equal(after[0], encode_motion_many(other, sample.motion.data[None])[0])
+        np.testing.assert_array_equal(after[1], encode_music_many(other, sample.track.features[None])[0])
+        for a, b in zip(after, before):
+            assert not np.array_equal(a, b)
+
+    def test_set_normalizers_re_encodes(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        sample = tiny_corpus[0]
+        before = (encode_motion(model, sample.motion), encode_music(model, sample.track))
+        model.set_normalizers(sample.motion.data, sample.track.features)
+        after = (encode_motion(model, sample.motion), encode_music(model, sample.track))
+        np.testing.assert_array_equal(after[0], encode_motion_many(model, sample.motion.data[None])[0])
+        np.testing.assert_array_equal(after[1], encode_music_many(model, sample.track.features[None])[0])
+        for a, b in zip(after, before):
+            assert not np.array_equal(a, b)
+
+    def test_writing_into_a_result_leaves_the_memo(self, tiny_retrieval_pair, tiny_corpus,
+                                                   tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        motion = tiny_corpus[0].motion
+        want = encode_motion_many(model, motion.data[None])[0]
+        want_segs = segment_latents(model, motion).copy()
+        encode_motion(model, motion)[:] = 0.0
+        segment_latents(model, motion)[:] = 0.0
+        np.testing.assert_array_equal(encode_motion(model, motion), want)
+        np.testing.assert_array_equal(segment_latents(model, motion), want_segs)
+
+    def test_eviction_keeps_the_budget(self, tiny_retrieval_pair, tiny_corpus, tmp_path,
+                                       monkeypatch):
+        from dancegen import retrieval
+
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        monkeypatch.setattr(retrieval, "_MEMO_BYTES", 3 * 256 * 8)
+        motions = [s.motion for s in tiny_corpus[:5]]
+        for m in motions:
+            encode_motion(model, m)
+        assert len(model._memo) == 3
+        assert model._memo_nbytes == sum(z.nbytes for z in model._memo.values()) <= 3 * 256 * 8
+        calls = self._count_encodes(monkeypatch)
+        encode_motion(model, motions[-1])  # most recent: kept
+        assert calls["motion"] == 0
+        z = encode_motion(model, motions[0])  # oldest: evicted
+        assert calls["motion"] == 1
+        np.testing.assert_array_equal(z, encode_motion_many(model, motions[0].data[None])[0])
+
+    def test_mixed_gallery_ranks_as_uncached(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        motions = [s.motion for s in tiny_corpus[:6]]
+        latents = np.stack([encode_motion_many(model, m.data[None])[0] for m in motions])
+        gallery = [motions[0], motions[1].data, latents[2], motions[3], latents[4],
+                   motions[5].data]
+        track = tiny_corpus[3].track
+        c = encode_music_many(model, track.features[None])[0]
+        want = rank_by_cosine(c, latents)[:4]
+        for _ in range(2):
+            order, sims = retrieve(model, track, gallery, k=4)
+            np.testing.assert_array_equal(order, want)
+            np.testing.assert_array_equal(sims, latents[want] @ c)
