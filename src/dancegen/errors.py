@@ -59,6 +59,10 @@ class ShapeError(DanceGenError):
     """Array shapes are incompatible."""
 
 
+class GraphReleasedError(DanceGenError):
+    """A backward pass reached a graph that an earlier backward already released."""
+
+
 class ComparabilityError(DanceGenError):
     """Feature sets come from different extractors and cannot be compared."""
 

@@ -116,7 +116,7 @@ class SelfAttention(Module):
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
         super().__init__()
         if width % heads:
-            raise ValueError("width must divide evenly into heads")
+            raise ParameterError(f"width {width} must divide evenly into {heads} heads")
         self.heads = heads
         self.head_dim = width // heads
         self.qkv = Linear(width, 3 * width, rng)

@@ -6,6 +6,15 @@ float64 throughout so finite-difference checks are meaningful.  The op set
 is exactly what the models in this package need (dense layers, temporal
 convolutions, attention, embeddings, the usual reductions).
 
+The tape is released as backward walks it: once an interior node has passed
+its gradient on, its `grad`, parents and closure are dropped, so the
+forward activations die during the backward pass and not at the next
+forward.  A graph can therefore be backpropagated once; a second backward
+that reaches a released node raises `GraphReleasedError`.  Leaf tensors
+keep accumulating `grad` across passes.  `conv1d` keeps its padded input
+for the backward pass, not the im2col matrix, which is K times larger; the
+weight gradient rebuilds that matrix, with the same bits.
+
 Inference runs tape-free under `no_grad()`: ops compute the same values but
 record no parents or backward closures, so nothing is kept alive for a
 backward pass that never comes.  The public inference functions run under
@@ -25,6 +34,8 @@ from __future__ import annotations
 import contextlib
 
 import numpy as np
+
+from ..errors import GraphReleasedError, ShapeError
 
 Array = np.ndarray
 
@@ -155,6 +166,11 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad
 
 
+def _released(grad: Array) -> None:
+    """The backward closure of a node whose graph has been backpropagated."""
+    raise GraphReleasedError("this graph was released by an earlier backward")
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -206,9 +222,11 @@ class Tensor:
         self.grad = None
 
     def backward(self, grad: Array | None = None) -> None:
+        """Accumulate d(self)/d(leaf) into the `grad` of every leaf that
+        requires it, releasing the graph on the way (see the module notes)."""
         if grad is None:
             if self.data.size != 1:
-                raise ValueError("backward() without grad needs a scalar output")
+                raise ShapeError(f"backward() without grad needs a scalar output, not shape {self.shape}")
             grad = np.ones_like(self.data)
         order: list[Tensor] = []
         seen: set[int] = set()
@@ -220,19 +238,25 @@ class Tensor:
                 continue
             if id(node) in seen or not node.requires_grad:
                 continue
+            if node._backward is _released:
+                raise GraphReleasedError("backward() reached a graph that an earlier backward "
+                                         "released; run the forward again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
-        # interior grads from an earlier backward over a shared graph must not
-        # leak into this pass; leaves keep their accumulation semantics
-        for node in order:
-            if node._backward is not None:
-                node.grad = None
         self._accumulate(np.asarray(grad, dtype=np.float64))
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
-                node._backward(node.grad)
+        # once a node's consumers are released, order holds the tape's last
+        # reference to it, so popping it frees the node and what its closure kept
+        while order:
+            node = order.pop()
+            backward = node._backward
+            if backward is None:
+                continue  # a leaf keeps its grad
+            g, node.grad = node.grad, None
+            node._backward, node._parents = _released, ()
+            if g is not None:
+                backward(g)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -532,30 +556,40 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:
-    """Temporal convolution via im2col + GEMM. x: (B, C, T), weight: (O, C, K)."""
-    xp = np.pad(x.data, ((0, 0), (0, 0), (padding, padding))) if padding else x.data
-    B, C, Tp = xp.shape
+    """Temporal convolution via im2col + GEMM. x: (B, C, T), weight: (O, C, K).
+
+    The input is padded and read as (B, T, C), the memory order the
+    package's activations already have, so the im2col gather reads whole
+    frames.  The backward pass keeps that padded input and rebuilds the
+    im2col matrix for the weight gradient instead of holding it, K times
+    larger, from the forward pass."""
+    xt = x.data.transpose(0, 2, 1)
+    xtp = np.pad(xt, ((0, 0), (padding, padding), (0, 0))) if padding else xt
+    B, Tp, C = xtp.shape
     O, _, K = weight.data.shape
     T_out = (Tp - K) // stride + 1
-    s0, s1, s2 = xp.strides
+    s0, s1, s2 = xtp.strides
     windows = np.lib.stride_tricks.as_strided(
-        xp, shape=(B, C, T_out, K), strides=(s0, s1, s2 * stride, s2), writeable=False
+        xtp, shape=(B, T_out, C, K), strides=(s0, s1 * stride, s2, s1), writeable=False
     )
-    col = np.ascontiguousarray(windows.transpose(0, 2, 1, 3)).reshape(B * T_out, C * K)
+
+    def im2col() -> Array:
+        return np.ascontiguousarray(windows).reshape(B * T_out, C * K)
+
     wf = weight.data.reshape(O, C * K)
-    y = (col @ wf.T).reshape(B, T_out, O).transpose(0, 2, 1)
+    y = (im2col() @ wf.T).reshape(B, T_out, O).transpose(0, 2, 1)
     if bias is not None:
         y = y + bias.data[None, :, None]
 
     def backward(g):
         g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * T_out, O)
         if weight.requires_grad:
-            weight._accumulate((g2.T @ col).reshape(O, C, K))
+            weight._accumulate((g2.T @ im2col()).reshape(O, C, K))
         if bias is not None and bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
         if x.requires_grad:
             gcol = (g2 @ wf).reshape(B, T_out, C, K)
-            gxp = np.zeros_like(xp)
+            gxp = np.zeros((B, C, Tp))
             for k in range(K):
                 gxp[:, :, k:k + stride * T_out:stride] += gcol[:, :, :, k].transpose(0, 2, 1)
             if padding:

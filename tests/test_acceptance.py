@@ -60,6 +60,8 @@ from dancegen.tokenizer import (
     train_tokenizer,
 )
 
+pytestmark = pytest.mark.acceptance
+
 CORPUS_SEED = 101
 CODEC_SEED = 202
 V_LAYERS = 5

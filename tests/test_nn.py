@@ -1,9 +1,12 @@
 """Gradient checks for the autodiff core, op by op."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dancegen import nn
+from dancegen.errors import GraphReleasedError, ParameterError, ShapeError
 from dancegen.nn import Tensor
 
 
@@ -198,6 +201,57 @@ class TestConv:
         )[None]
         np.testing.assert_allclose(out, manual, atol=1e-12)
 
+    @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 2)])
+    @pytest.mark.parametrize("time_major", [False, True])
+    def test_conv1d_grads_match_im2col_reference_bitwise(self, stride, padding, time_major):
+        rng = np.random.default_rng(17)
+        # time_major: x is a (B, C, T) view of (B, T, C) memory, as activations are
+        x0 = rng.normal(size=(3, 17, 4)).transpose(0, 2, 1) if time_major else rng.normal(size=(3, 4, 17))
+        w0 = rng.normal(size=(5, 4, 3))
+        b0 = rng.normal(size=(5,))
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        b = Tensor(b0, requires_grad=True)
+        y = nn.conv1d(x, w, b, stride=stride, padding=padding)
+        g = rng.normal(size=y.shape)
+        y.backward(g)
+
+        # the gradients from an im2col matrix built entry by entry
+        xp = np.pad(x0, ((0, 0), (0, 0), (padding, padding)))
+        B, C, Tp = xp.shape
+        O, _, K = w0.shape
+        T_out = (Tp - K) // stride + 1
+        col = np.empty((B * T_out, C * K))
+        for i in range(B):
+            for t in range(T_out):
+                for c in range(C):
+                    for k in range(K):
+                        col[i * T_out + t, c * K + k] = xp[i, c, t * stride + k]
+        g2 = np.ascontiguousarray(g.transpose(0, 2, 1)).reshape(B * T_out, O)
+        gcol = (g2 @ w0.reshape(O, C * K)).reshape(B, T_out, C, K)
+        gxp = np.zeros_like(xp)
+        for k in range(K):  # each input position sums its terms in tap order
+            for t in range(T_out):
+                gxp[:, :, t * stride + k] += gcol[:, t, :, k]
+        np.testing.assert_array_equal(w.grad, (g2.T @ col).reshape(O, C, K))
+        np.testing.assert_array_equal(b.grad, g2.sum(axis=0))
+        np.testing.assert_array_equal(x.grad, gxp[:, :, padding:Tp - padding])
+
+    def test_conv1d_tape_keeps_the_padded_input_not_im2col(self):
+        rng = np.random.default_rng(18)
+        x = Tensor(rng.normal(size=(2, 8, 256)), requires_grad=True)
+        w = Tensor(rng.normal(size=(4, 8, 5)), requires_grad=True)
+        nn.conv1d(x, w, None, padding=2)  # warm-up
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y = nn.conv1d(x, w, None, padding=2)
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        padded = x.data.nbytes * 260 // 256
+        assert live <= y.data.nbytes + padded + 8 * 1024  # im2col would add 5x padded
+
 
 class TestModules:
     def test_layer_modules_grad_flow(self):
@@ -208,6 +262,10 @@ class TestModules:
         for name, p in block.named_parameters():
             assert p.grad is not None, name
         assert x.grad is not None
+
+    def test_attention_width_must_divide_into_heads(self):
+        with pytest.raises(ParameterError):
+            nn.SelfAttention(10, 4, np.random.default_rng(0))
 
     def test_named_parameters_unique(self):
         rng = np.random.default_rng(11)
@@ -305,6 +363,74 @@ class TestNoGrad:
         with pytest.raises(ValueError):
             fail()
         assert tensor._grad_enabled and (w * 2.0).requires_grad
+
+
+class TestTapeRelease:
+    @staticmethod
+    def _forward(w: Tensor):
+        x = Tensor(np.random.default_rng(14).normal(size=(5, 4)))
+        h = (x @ w).gelu()
+        return h, (h * h).mean()
+
+    def test_backward_releases_root_and_interior_nodes(self):
+        w = Tensor(np.random.default_rng(15).normal(size=(4, 3)), requires_grad=True)
+        h, loss = self._forward(w)
+        inner = h._parents[0]  # x @ w
+        loss.backward()
+        for node in (loss, h, inner):
+            assert node.grad is None and node._parents == ()
+            assert getattr(node._backward, "__closure__", None) is None
+        assert w.grad is not None and w._parents == ()
+
+    def test_second_backward_over_a_released_graph_raises(self):
+        w = Tensor(np.random.default_rng(15).normal(size=(4, 3)), requires_grad=True)
+        h, loss = self._forward(w)
+        loss.backward()
+        first = w.grad.copy()
+        with pytest.raises(GraphReleasedError):
+            loss.backward()
+        with pytest.raises(GraphReleasedError):
+            (h * 2.0).sum().backward()  # a new graph on a released node
+        np.testing.assert_array_equal(w.grad, first)
+
+    def test_leaf_grads_accumulate_across_passes(self):
+        w = Tensor(np.random.default_rng(15).normal(size=(4, 3)), requires_grad=True)
+        self._forward(w)[1].backward()
+        first = w.grad.copy()
+        self._forward(w)[1].backward()
+        np.testing.assert_array_equal(w.grad, first + first)
+
+    def test_backward_without_grad_needs_a_scalar(self):
+        out = Tensor(np.ones(3), requires_grad=True) * 2.0
+        with pytest.raises(ShapeError):
+            out.backward()
+
+    def test_training_step_frees_its_tape_when_backward_returns(self):
+        rng = np.random.default_rng(16)
+        conv = nn.Conv1d(8, 16, 3, rng, padding=1)
+        block = nn.TransformerBlock(16, 2, rng)
+        params = conv.parameters() + block.parameters()
+        opt = nn.AdamW(params, lr=1e-3)
+        x = rng.normal(size=(4, 8, 64))
+
+        def step():
+            loss = (block(conv(Tensor(x)).transpose(0, 2, 1)) ** 2.0).mean()
+            loss.backward()
+            return loss
+
+        step()  # warm-up: first-call allocations and the optimizer's moments
+        opt.step()
+        opt.zero_grad()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            loss = step()
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = sum(p.grad.nbytes for p in params) + loss.data.nbytes
+        assert peak - before > 20 * outputs  # the forward tape was there
+        assert after - before <= outputs + 16 * 1024
 
 
 class TestOptim:

@@ -134,6 +134,10 @@ class TestEncoders:
         with pytest.raises(VariantError):
             model.motion_slice(np.zeros((4, 500)))
 
+    def test_heads_must_divide_hidden(self):
+        with pytest.raises(ParameterError):
+            DualEncoder(RetrievalConfig(hidden=10, heads=4))
+
     def test_body_variant_accepts_full_frames(self, tiny_retrieval_pair, tiny_corpus):
         z = encode_motion(tiny_retrieval_pair["body"], tiny_corpus[0].motion)
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-5)
@@ -242,6 +246,9 @@ class TestTraining:
         grads_a = {k: (p.grad.copy() if p.grad is not None else None)
                    for k, p in model.named_parameters()}
         model.zero_grad()
+        # backward released the first graph, so the second pass needs a fresh forward
+        rec = model.decoder(model.encode_motion_batch(mot), model.encode_music_batch(feat),
+                            mot.shape[1] - mot.shape[1] % 4)
         rec_only = ((rec - nn.Tensor(target)) ** 2.0).mean()
         rec_only.backward()
         for k, p in model.named_parameters():
