@@ -85,14 +85,15 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
 
+    gen_defaults = GenerationConfig()
     p = sub.add_parser("generate", help="generate a dance for a track")
     p.add_argument("--magm-ckpt", required=True)
     p.add_argument("--hrvq-ckpt", required=True)
     p.add_argument("--track", required=True, help="SMT1 track file")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--cfg-scale-base", type=float, default=4.0)
-    p.add_argument("--cfg-scale-residual", type=float, default=5.0)
+    p.add_argument("--seed", type=int, default=gen_defaults.seed)
+    p.add_argument("--iterations", type=int, default=gen_defaults.iterations)
+    p.add_argument("--cfg-scale-base", type=float, default=gen_defaults.cfg_scale_base)
+    p.add_argument("--cfg-scale-residual", type=float, default=gen_defaults.cfg_scale_residual)
     p.add_argument("--out", required=True, help="SDM1 output")
     p.add_argument("--export-csv", help="also write per-joint world trajectories")
 
@@ -161,6 +162,10 @@ def _dispatch(args) -> int:
         kind, meta, _seed, arrays = dio.load_checkpoint(args.infile)
         if kind != "tokens":
             raise DanceGenError(f"{args.infile}: not a token file")
+        missing = [key for key, held in (("n_frames", meta), ("fps", meta), ("indices", arrays))
+                   if key not in held]
+        if missing:
+            raise DanceGenError(f"{args.infile}: token file lacks {', '.join(missing)}")
         grid = TokenGrid(arrays["indices"], meta["n_frames"], meta["fps"])
         dio.write_motion(args.out, decode(tokenizer, grid))
         print(args.out)

@@ -1,6 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config-key check
+every config owner raises one of."""
 
 from __future__ import annotations
+
+import dataclasses
 
 
 class DanceGenError(Exception):
@@ -77,3 +80,12 @@ class DependencyError(DanceGenError):
     def __init__(self, message: str, stage: str):
         super().__init__(message)
         self.stage = stage
+
+
+def check_config_keys(section: str, keys, cls) -> None:
+    """Raise ParameterError naming `section.key` for the first of `keys` that
+    is not a field of the config dataclass `cls`."""
+    known = {f.name for f in dataclasses.fields(cls)}
+    for key in keys:
+        if key not in known:
+            raise ParameterError(f"unknown config key {section + '.' + key!r}")

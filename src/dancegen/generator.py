@@ -23,13 +23,14 @@ from .errors import (
     ParameterError,
     TooShortError,
     TrainingFailureError,
+    check_config_keys,
 )
 from .motion import MotionSequence, default_spans
 from .nn import Tensor
 from .nn.rng import generator
 from .retrieval import DualEncoder, RetrievalConfig, info_nce, similarity_matrix
 from .synth import MusicTrack, TRACK_FEATURE_DIM
-from .tokenizer import DOWNSCALE, MotionTokenizer, TokenGrid, decoder_apply, PARTS
+from .tokenizer import DOWNSCALE, MotionTokenizer, TokenGrid, code_sums, decoder_apply, PARTS
 
 MASK_RATIO_FLOOR = 0.05
 
@@ -277,26 +278,19 @@ def residual_loss(model: MaskedGenerator, tokenizer: MotionTokenizer, mmr_whole:
     if not 1 <= layer <= model.config.layers_v:
         raise ParameterError(f"layer {layer} outside [1, {model.config.layers_v}]")
     lam = model.config.lambda_whole if lambda_whole is None else lambda_whole
-    B, v1, _, n = grids.shape
-    prev = np.zeros((B, 3, n, tokenizer.config.code_dim))
-    for p, part in enumerate(PARTS):
-        for v in range(layer):
-            prev[:, p] += tokenizer.codebooks[part][v].codes[grids[:, v, p]]
+    prev = code_sums(tokenizer, grids, range(layer))
     logits = model.forward_residual(prev, layer, music_latent_cond, feats, drop)
     targets = grids[:, layer]
     ce = _cross_entropy(logits, targets, None)
     if lam == 0.0:
         return ce, ce, Tensor(np.zeros(()))
     # full decode with layer `layer` relaxed, all other layers as given
+    rest = code_sums(tokenizer, grids, [v for v in range(grids.shape[1]) if v != layer])
     sums = []
     for p, part in enumerate(PARTS):
         codes = tokenizer.codebooks[part][layer].codes
         soft = _gumbel_soft_codes(logits[p], codes, tau, gumbel_rng)
-        rest = np.zeros((B, n, tokenizer.config.code_dim))
-        for v in range(v1):
-            if v != layer:
-                rest += tokenizer.codebooks[part][v].codes[grids[:, v, p]]
-        sums.append((soft + Tensor(rest)).transpose(0, 2, 1))
+        sums.append((soft + Tensor(rest[:, p])).transpose(0, 2, 1))
     decoded = decoder_apply(tokenizer, nn.concat(sums, axis=1))
     align = _align_loss(decoded, mmr_whole, music_latent_whole,
                         mmr_whole.config.temperature, body_only=False)
@@ -426,11 +420,6 @@ def _sample(logits: np.ndarray, temperature: float, rng: np.random.Generator) ->
     return np.argmax(logits / temperature + g, axis=-1)
 
 
-def _log_softmax_np(x: np.ndarray) -> np.ndarray:
-    shift = x.max(axis=-1, keepdims=True)
-    return x - shift - np.log(np.exp(x - shift).sum(axis=-1, keepdims=True))
-
-
 @nn.no_grad()
 def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTrack,
              gcfg: GenerationConfig | None = None) -> MotionSequence:
@@ -461,7 +450,7 @@ def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTra
         frac = r / max(1, iters - 1)
         temp = gcfg.temperature_start + (gcfg.temperature_end - gcfg.temperature_start) * frac
         choice = _sample(logits[:, 0], temp, rng)                  # (3, n)
-        logp = _log_softmax_np(logits[:, 0])
+        logp = nn.log_softmax(Tensor(logits[:, 0]), axis=-1).data
         conf = np.take_along_axis(logp, choice[:, :, None], axis=-1)[:, :, 0].mean(axis=0)
         remaining = int(np.floor(n * unmask_schedule((r + 1) / iters)))
         commits = max(1, int(masked.sum()) - remaining)
@@ -475,10 +464,7 @@ def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTra
     indices = np.zeros((v1, 3, n), dtype=np.int64)
     indices[0] = tokens[0]
     for layer in range(1, v1):
-        prev = np.zeros((1, 3, n, tokenizer.config.code_dim))
-        for p, part in enumerate(PARTS):
-            for v in range(layer):
-                prev[0, p] += tokenizer.codebooks[part][v].codes[indices[v, p]]
+        prev = code_sums(tokenizer, indices[None], range(layer))
 
         def forward(unconditional: bool) -> Tensor:
             drop = np.array([unconditional])
@@ -534,6 +520,8 @@ def load_generator(path) -> MaskedGenerator:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "generator":
         raise ParameterError(f"{path}: expected a generator checkpoint, got {kind!r}")
+    check_config_keys("generator", config["generator"], GeneratorConfig)
+    check_config_keys("condition", config["condition"], RetrievalConfig)
     model = MaskedGenerator(GeneratorConfig(**config["generator"]))
     model.load_state_arrays(arrays)  # before the conditioning encoder is attached
     cond = DualEncoder(RetrievalConfig(**config["condition"]))

@@ -19,6 +19,8 @@ from .errors import (
     MissingCheckpointError,
     ParameterError,
     ShapeError,
+    TrainingFailureError,
+    check_config_keys,
 )
 from .motion import JV, JOINT_COUNT, MotionSequence, default_spans
 from .nn import Tensor
@@ -307,10 +309,7 @@ def train_extractor(frames_list: list, config: ExtractorConfig,
     model = MotionFeatureExtractor(config)
     stack = np.stack(list(frames_list))
     sliced = stack[:, :, model.channel_idx]
-    flat = sliced.reshape(-1, sliced.shape[-1])
-    model.mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
-    model.std = np.where(std < 1e-4, 1.0, std)
+    model.mean, model.std = nn.channel_stats(sliced.reshape(-1, sliced.shape[-1]))
     opt = nn.AdamW(model.parameters(), lr=config.lr)
     rng = generator(config.seed, "extractor-batches")
     n = stack.shape[0]
@@ -322,6 +321,8 @@ def train_extractor(frames_list: list, config: ExtractorConfig,
         rec = model.reconstruct(feat, n_frames // 4)
         target = (batch[:, :n_frames, model.channel_idx] - model.mean) / model.std
         loss = ((rec.transpose(0, 2, 1) - Tensor(target)) ** 2.0).mean()
+        if not np.isfinite(loss.data):
+            raise TrainingFailureError("extractor loss diverged", step)
         model.zero_grad()
         loss.backward()
         opt.step(lr=nn.warmup_lr(step, config.lr, config.warmup_steps))
@@ -353,6 +354,7 @@ def load_extractor(path) -> MotionFeatureExtractor:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "extractor":
         raise ParameterError(f"{path}: expected an extractor checkpoint, got {kind!r}")
+    check_config_keys("extractor", config, ExtractorConfig)
     model = MotionFeatureExtractor(ExtractorConfig(**config))
     model.load_state(arrays)
     return model

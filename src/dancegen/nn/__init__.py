@@ -11,6 +11,7 @@ from .tensor import (
 )
 from .layers import (
     load_array,
+    channel_stats,
     Module,
     Linear,
     Conv1d,
@@ -25,7 +26,7 @@ from .rng import splitmix64, fnv1a64, derive_seed, generator
 
 __all__ = [
     "Tensor", "no_grad", "concat", "stack", "gather_rows", "gather_last", "softmax", "log_softmax",
-    "conv1d", "load_array", "Module", "Linear", "Conv1d", "Embedding", "LayerNorm", "SelfAttention",
-    "TransformerBlock", "ResConv1d", "AdamW", "warmup_lr",
+    "conv1d", "load_array", "channel_stats", "Module", "Linear", "Conv1d", "Embedding",
+    "LayerNorm", "SelfAttention", "TransformerBlock", "ResConv1d", "AdamW", "warmup_lr",
     "splitmix64", "fnv1a64", "derive_seed", "generator",
 ]

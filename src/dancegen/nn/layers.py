@@ -20,6 +20,13 @@ def load_array(arrays: dict[str, np.ndarray], name: str, like: np.ndarray) -> np
     return src.astype(like.dtype)
 
 
+def channel_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std of (N, C) rows.  A std below 1e-4 becomes 1.0,
+    so a near-constant channel is centred but not blown up."""
+    std = rows.std(axis=0)
+    return rows.mean(axis=0), np.where(std < 1e-4, 1.0, std)
+
+
 class Module:
     """Minimal module: tracks parameters and child modules by attribute name."""
 

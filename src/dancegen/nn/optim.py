@@ -9,12 +9,11 @@ from .tensor import Tensor
 
 class AdamW:
     def __init__(self, params: list[Tensor], lr: float = 2e-4, betas=(0.9, 0.99),
-                 eps: float = 1e-8, weight_decay: float = 0.0):
+                 eps: float = 1e-8):
         self.params = params
         self.lr = lr
         self.b1, self.b2 = betas
         self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]
@@ -33,8 +32,6 @@ class AdamW:
             v *= self.b2
             v += (1.0 - self.b2) * g * g
             update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            if self.weight_decay:
-                update = update + self.weight_decay * p.data
             p.data = p.data - lr * update
 
     def zero_grad(self) -> None:

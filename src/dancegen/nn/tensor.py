@@ -208,9 +208,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def _accumulate(self, grad: Array) -> None:
         # grads are never mutated in place, so storing a view is safe
         if self.grad is None:

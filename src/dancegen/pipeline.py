@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .errors import DependencyError, ParameterError
+from .errors import DependencyError, ParameterError, check_config_keys
 from .metrics import (
     BeatSet,
     ExtractorConfig,
@@ -108,10 +108,7 @@ class RunConfig:
                 continue
             if not dataclasses.is_dataclass(getattr(defaults, name, None)):
                 raise ParameterError(f"unknown config section {name!r}")
-            known = {f.name for f in dataclasses.fields(getattr(defaults, name))}
-            for key in doc:
-                if key not in known:
-                    raise ParameterError(f"unknown config key {name + '.' + key!r}")
+            check_config_keys(name, doc, type(getattr(defaults, name)))
         return RunConfig(
             seed=d.get("seed", 0),
             out_dir=d.get("out_dir", "run"),

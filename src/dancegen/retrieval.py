@@ -21,6 +21,7 @@ from .errors import (
     ShapeError,
     TrainingFailureError,
     VariantError,
+    check_config_keys,
 )
 from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
@@ -134,12 +135,8 @@ class DualEncoder(nn.Module):
         self._memo_nbytes = 0
 
     def set_normalizers(self, motions: np.ndarray, feats: np.ndarray) -> None:
-        self.motion_mean = motions.mean(axis=0)
-        std = motions.std(axis=0)
-        self.motion_std = np.where(std < 1e-4, 1.0, std)
-        self.music_mean = feats.mean(axis=0)
-        std = feats.std(axis=0)
-        self.music_std = np.where(std < 1e-4, 1.0, std)
+        self.motion_mean, self.motion_std = nn.channel_stats(motions)
+        self.music_mean, self.music_std = nn.channel_stats(feats)
 
     @nn.no_grad()
     def set_pool_centers(self, motion_batch: np.ndarray, feat_batch: np.ndarray) -> None:
@@ -452,6 +449,7 @@ def load_retrieval(path) -> DualEncoder:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "retrieval":
         raise ParameterError(f"{path}: expected a retrieval checkpoint, got {kind!r}")
+    check_config_keys("retrieval", config, RetrievalConfig)
     model = DualEncoder(RetrievalConfig(**config))
     model.load_state(arrays)
     return model

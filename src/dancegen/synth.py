@@ -364,7 +364,8 @@ def make_corpus(config: CorpusConfig) -> list[PairedSample]:
         genre = config.genres[i % len(config.genres)]
         emotion = int(rng.choice(config.emotions))
         bpm = float(rng.uniform(lo, hi))
-        track = generate_track(seed_i, config.duration_s, bpm, genre, emotion)
+        track = generate_track(seed_i, config.duration_s, bpm, genre, emotion,
+                               feature_rate=config.fps)
         motion = generate_dance(track, seed_i, fps=config.fps,
                                 drift_scale=config.drift_scale,
                                 harmonics=config.harmonics)

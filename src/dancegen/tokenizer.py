@@ -21,7 +21,7 @@ so that every prefix of the stack remains a usable decode path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .errors import (
     ParameterError,
     TooShortError,
     TrainingFailureError,
+    check_config_keys,
 )
 from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
@@ -74,14 +75,10 @@ class TokenizerConfig:
         """Config from a saved dict.  A retired key is dropped when it holds
         the behaviour the code still runs; any other value raises, and so
         does an unknown key, named as in a run config's `hrvq` section."""
-        known = {f.name for f in fields(cls)}
-        kept = {}
+        kept = {key: value for key, value in d.items() if key not in _RETIRED}
+        check_config_keys("hrvq", kept, cls)
         for key, value in d.items():
-            if key in known:
-                kept[key] = value
-            elif key not in _RETIRED:
-                raise ParameterError(f"unknown config key {'hrvq.' + key!r}")
-            elif _RETIRED[key] is not None and value != _RETIRED[key]:
+            if _RETIRED.get(key) is not None and value != _RETIRED[key]:
                 raise ParameterError(f"tokenizer option {key}={value!r} was removed; "
                                      f"only {_RETIRED[key]!r} is supported")
         return cls(**kept)
@@ -292,9 +289,7 @@ class MotionTokenizer(nn.Module):
         return (frames - self.norm_mean) / self.norm_std
 
     def set_normalizer(self, frames: np.ndarray) -> None:
-        self.norm_mean = frames.mean(axis=0)
-        std = frames.std(axis=0)
-        self.norm_std = np.where(std < 1e-4, 1.0, std)
+        self.norm_mean, self.norm_std = nn.channel_stats(frames)
 
     def part_slices(self, batch: np.ndarray) -> dict[str, np.ndarray]:
         """(B, T, 723) normalized -> per-part (B, C_part, T)."""
@@ -424,20 +419,11 @@ class EncodeResult:
     final_residual: dict[str, np.ndarray]        # what the stack left over (n, d)
 
 
-def _pad_frames(data: np.ndarray) -> np.ndarray:
-    n = data.shape[0]
-    pad = (-n) % DOWNSCALE
-    if pad:
-        data = np.concatenate([data, np.repeat(data[-1:], pad, axis=0)], axis=0)
-    return data
-
-
 @nn.no_grad()
 def encode(model: MotionTokenizer, seq: MotionSequence) -> EncodeResult:
     if seq.frames < DOWNSCALE:
         raise TooShortError(f"need at least {DOWNSCALE} frames, got {seq.frames}")
-    data = _pad_frames(seq.data)
-    latents = model.encode_latents(data[None])
+    latents = model.encode_latents(_pad_batch(seq.data[None]))
     ladder = model.ladder(latents)
     v1 = model.config.layers + 1
     n = latents["body"].shape[2]
@@ -453,21 +439,16 @@ def encode(model: MotionTokenizer, seq: MotionSequence) -> EncodeResult:
     return EncodeResult(TokenGrid(indices, seq.frames, seq.fps), quantized, initial, final)
 
 
-def code_sums(model: MotionTokenizer, grid: TokenGrid, max_layers: int | None = None) -> np.ndarray:
-    """Sum the code vectors of layers 0..max_layers-1 -> (3d, n) decoder input."""
-    k = model.config.codebook_size
-    layers = grid.layer_count if max_layers is None else max_layers
-    if not 1 <= layers <= grid.layer_count:
-        raise ParameterError(f"max_layers {max_layers} outside [1, {grid.layer_count}]")
-    if grid.indices.min() < 0 or grid.indices.max() >= k:
-        raise InvalidTokenError(f"token index outside [0, {k})")
-    sums = []
-    for pi, part in enumerate(PARTS):
-        total = np.zeros((grid.n, model.config.code_dim))
-        for v in range(layers):
-            total += model.codebooks[part][v].codes[grid.indices[v, pi]]
-        sums.append(total.T)
-    return np.concatenate(sums, axis=0)
+def code_sums(model: MotionTokenizer, indices: np.ndarray, layers) -> np.ndarray:
+    """Per part, the sum of the code vectors that token grids `indices`
+    (B, V+1, 3, n) pick in each of `layers` -> (B, 3, n, d).  Sums start at
+    zero and add the layers in the order given; indices are not checked."""
+    B, _, _, n = indices.shape
+    out = np.zeros((B, 3, n, model.config.code_dim))
+    for p, part in enumerate(PARTS):
+        for v in layers:
+            out[:, p] += model.codebooks[part][v].codes[indices[:, v, p]]
+    return out
 
 
 def decoder_apply(model: MotionTokenizer, sums: Tensor, denormalize: bool = True) -> Tensor:
@@ -480,8 +461,16 @@ def decoder_apply(model: MotionTokenizer, sums: Tensor, denormalize: bool = True
 
 @nn.no_grad()
 def decode(model: MotionTokenizer, grid: TokenGrid, max_layers: int | None = None) -> MotionSequence:
-    sums = code_sums(model, grid, max_layers)
-    frames = decoder_apply(model, Tensor(sums[None])).data[0]
+    """Frames from the code sums of layers 0..max_layers-1 (all by default)."""
+    k = model.config.codebook_size
+    layers = grid.layer_count if max_layers is None else max_layers
+    if not 1 <= layers <= grid.layer_count:
+        raise ParameterError(f"max_layers {max_layers} outside [1, {grid.layer_count}]")
+    if grid.indices.min() < 0 or grid.indices.max() >= k:
+        raise InvalidTokenError(f"token index outside [0, {k})")
+    sums = code_sums(model, grid.indices[None], range(layers))  # (1, 3, n, d)
+    sums = sums.transpose(0, 1, 3, 2).reshape(1, -1, grid.n)   # (1, 3d, n) decoder input
+    frames = decoder_apply(model, Tensor(sums)).data[0]
     return MotionSequence(frames[:grid.n_frames], fps=grid.fps)
 
 
@@ -621,16 +610,9 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
         if opt_mix is not None:
             opt_mix.step(lr=config.lr * config.mixer_lr_scale * lr_frac)
 
-        for part in PARTS:
-            res = loss.ladder[part]
-            for v in range(active):
-                cb = model.codebooks[part][v]
-                cb.ema_update(res["q_inputs"][v], res["indices"][v].reshape(-1), config.ema_decay)
+        _ema_update_codebooks(model, loss.ladder, config.ema_decay)
         if (step + 1) % steps_per_epoch == 0:
-            for part in PARTS:
-                latents = loss.ladder[part]["q_inputs"][0]
-                for cb in model.codebooks[part]:
-                    cb.reset_dead(latents, reset_rng)
+            _reset_dead_codes(model, loss.ladder, reset_rng)
         if config.refit_every and (step + 1) % config.refit_every == 0:
             refit_decoder_bypass(model, anchor)
         if log is not None:
@@ -650,17 +632,27 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
             start += batch_size
             with nn.no_grad():
                 ladder = model.ladder(model.encode_latents(_pad_batch(chunk)))
-            for part in PARTS:
-                res = ladder[part]
-                for v in range(v1):
-                    cb = model.codebooks[part][v]
-                    cb.ema_update(res["q_inputs"][v], res["indices"][v].reshape(-1), 0.5)
-        for part in PARTS:
-            latents = ladder[part]["q_inputs"][0]
-            for cb in model.codebooks[part]:
-                cb.reset_dead(latents, reset_rng)
+            _ema_update_codebooks(model, ladder, 0.5)
+        _reset_dead_codes(model, ladder, reset_rng)
     refit_decoder_bypass(model, anchor)
     return model
+
+
+def _ema_update_codebooks(model: MotionTokenizer, ladder: dict, decay: float) -> None:
+    """EMA-update each codebook the ladder ran (its active layers) with the
+    quantizer inputs and the codes it chose."""
+    for part in PARTS:
+        res = ladder[part]
+        for v, (q_in, idx) in enumerate(zip(res["q_inputs"], res["indices"])):
+            model.codebooks[part][v].ema_update(q_in, idx.reshape(-1), decay)
+
+
+def _reset_dead_codes(model: MotionTokenizer, ladder: dict, rng: np.random.Generator) -> None:
+    """Reset every codebook's dead codes from its part's layer-0 quantizer inputs."""
+    for part in PARTS:
+        latents = ladder[part]["q_inputs"][0]
+        for cb in model.codebooks[part]:
+            cb.reset_dead(latents, rng)
 
 
 @nn.no_grad()

@@ -302,6 +302,17 @@ class TestGenerate:
         b = generate(back, tiny_tokenizer, track, gcfg)
         np.testing.assert_array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("section", ["generator", "condition"])
+    def test_unknown_checkpoint_key_is_a_parameter_error(self, tiny_generator, tmp_path,
+                                                          section):
+        path = tmp_path / "gen.snc"
+        save_generator(path, tiny_generator)
+        kind, config, seed, arrays = load_checkpoint(path)
+        config[section]["bogus"] = 1
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match=f"{section}.bogus"):
+            load_generator(path)
+
 
 class TestTapeFree:
     def test_generate_leaves_no_grads_and_matches_taped_run(self, tiny_generator, tiny_tokenizer,

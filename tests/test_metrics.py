@@ -343,6 +343,26 @@ class TestFeatureExtractor:
         b = motion_features(back, [tiny_corpus[1].motion]).vectors
         np.testing.assert_array_equal(a, b)
 
+    def test_unknown_checkpoint_key_is_a_parameter_error(self, extractor, tmp_path):
+        from dancegen.io import save_checkpoint
+        from dancegen.metrics import load_extractor
+
+        path = tmp_path / "ex.snc"
+        save_checkpoint(path, "extractor", {**extractor.config.to_dict(), "bogus": 1}, 0,
+                        extractor.state())
+        with pytest.raises(ParameterError, match="extractor.bogus"):
+            load_extractor(path)
+
+    def test_nan_frames_raise_training_failure(self, tiny_train_frames):
+        from dancegen.errors import TrainingFailureError
+
+        frames = tiny_train_frames[:4].copy()
+        frames[0, 5, 7] = np.nan
+        cfg = ExtractorConfig(hidden=8, steps=3, batch=4, seed=1)
+        with pytest.raises(TrainingFailureError) as err:
+            train_extractor(list(frames), cfg)
+        assert err.value.step == 0
+
 
 class TestKinematicBeats:
     def test_extracts_planted_minima(self):

@@ -241,6 +241,20 @@ class TestCli:
         orig = read_motion(motion_path)
         assert rec.data.shape == orig.data.shape
 
+    def test_detokenize_names_a_missing_field(self, tmp_path, micro_run, capsys):
+        from dancegen.io import save_checkpoint
+
+        _, report = micro_run
+        root = report.parent
+        tokens = tmp_path / "bad.tokens"
+        save_checkpoint(tokens, "tokens", {"fps": 30}, 0,
+                        {"indices": np.zeros((3, 3, 4), dtype=np.int64)})
+        assert cli_main(["detokenize", "--ckpt", str(root / "hrvq.snc"),
+                         "--in", str(tokens), "--out", str(tmp_path / "d.sdm1")]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "n_frames" in lines[0]
+
     def test_generate_cli_with_csv_export(self, tmp_path, micro_run):
         cfg, _ = micro_run
         from dancegen.pipeline import artifact_root

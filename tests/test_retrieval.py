@@ -267,6 +267,16 @@ class TestTraining:
         z2 = encode_motion(back, tiny_corpus[0].motion)
         np.testing.assert_array_equal(z1, z2)
 
+    def test_unknown_checkpoint_key_is_a_parameter_error(self, tiny_retrieval_pair, tmp_path):
+        from dancegen.io import save_checkpoint
+
+        model = tiny_retrieval_pair["whole"]
+        path = tmp_path / "mmr.snc"
+        save_checkpoint(path, "retrieval", {**model.config.to_dict(), "bogus": 1}, 0,
+                        model.state())
+        with pytest.raises(ParameterError, match="retrieval.bogus"):
+            load_retrieval(path)
+
     def test_retrieval_ranks_shape(self, tiny_retrieval_pair, tiny_corpus):
         model = tiny_retrieval_pair["whole"]
         test = [s for s in tiny_corpus if s.split == "test"]

@@ -142,6 +142,11 @@ class TestMakeCorpus:
         with pytest.raises(ParameterError):
             make_corpus(CorpusConfig(n_samples=9))
 
+    def test_fps_reaches_the_tracks(self):
+        for s in make_corpus(CorpusConfig(n_samples=10, duration_s=4.0, fps=20)):
+            assert s.track.feature_rate == s.motion.fps == 20
+            assert s.track.features.shape[0] == s.motion.frames == 80
+
     def test_durations_pair_up(self, tiny_corpus):
         for s in tiny_corpus:
             assert abs(s.motion.duration - s.track.duration) <= 1.0 / s.motion.fps
