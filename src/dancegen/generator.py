@@ -25,7 +25,7 @@ from .errors import (
     TrainingFailureError,
     check_config_keys,
 )
-from .motion import MotionSequence, default_spans
+from .motion import MotionSequence
 from .nn import Tensor
 from .nn.rng import generator
 from .retrieval import DualEncoder, RetrievalConfig, info_nce, similarity_matrix
@@ -222,15 +222,9 @@ def _gumbel_soft_codes(logits: Tensor, codebook_codes: np.ndarray, tau: float,
     return probs @ Tensor(codebook_codes)
 
 
-def _align_loss(decoded_frames: Tensor, mmr: DualEncoder, music_latent: np.ndarray,
-                temperature: float, body_only: bool) -> Tensor:
-    if body_only:
-        idx = default_spans().indices("body")
-        decoded_frames = decoded_frames[:, :, idx]
-    x = (decoded_frames - Tensor(mmr.motion_mean[None, None, :])) \
-        / Tensor(mmr.motion_std[None, None, :])
-    z = mmr.motion_enc(x.transpose(0, 2, 1))
-    S = similarity_matrix(z, Tensor(music_latent), temperature)
+def _align_loss(decoded_frames: Tensor, mmr: DualEncoder, music_latent: np.ndarray) -> Tensor:
+    z = mmr.encode_motion_batch(decoded_frames)
+    S = similarity_matrix(z, Tensor(music_latent), mmr.config.temperature)
     return info_nce(S)
 
 
@@ -261,8 +255,7 @@ def base_loss(model: MaskedGenerator, tokenizer: MotionTokenizer, mmr_body: Dual
         w = Tensor(mask[:, :, None].astype(np.float64))
         sums.append((soft * w + Tensor(hard) * (1.0 - w)).transpose(0, 2, 1))
     decoded = decoder_apply(tokenizer, nn.concat(sums, axis=1))  # (B, 4n, 723)
-    align = _align_loss(decoded, mmr_body, music_latent_body,
-                        mmr_body.config.temperature, body_only=True)
+    align = _align_loss(decoded, mmr_body, music_latent_body)
     total = ce + lam * align
     return total, ce, align
 
@@ -292,8 +285,7 @@ def residual_loss(model: MaskedGenerator, tokenizer: MotionTokenizer, mmr_whole:
         soft = _gumbel_soft_codes(logits[p], codes, tau, gumbel_rng)
         sums.append((soft + Tensor(rest[:, p])).transpose(0, 2, 1))
     decoded = decoder_apply(tokenizer, nn.concat(sums, axis=1))
-    align = _align_loss(decoded, mmr_whole, music_latent_whole,
-                        mmr_whole.config.temperature, body_only=False)
+    align = _align_loss(decoded, mmr_whole, music_latent_whole)
     total = ce + lam * align
     return total, ce, align
 
@@ -504,14 +496,11 @@ def masked_accuracy(model: MaskedGenerator, tokenizer: MotionTokenizer, samples:
 
 
 def save_generator(path, model: MaskedGenerator) -> None:
+    """The generator's state, its conditioning encoder's under `cond_encoder.`."""
     from .io import save_checkpoint
 
-    arrays = dict(model.state_arrays())
-    cond = model.cond_encoder
-    for key, arr in cond.state().items():
-        arrays.setdefault(f"cond_encoder.{key}", arr)
-    config = {"generator": model.config.to_dict(), "condition": cond.config.to_dict()}
-    save_checkpoint(path, "generator", config, model.config.seed, arrays)
+    config = {"generator": model.config.to_dict(), "condition": model.cond_encoder.config.to_dict()}
+    save_checkpoint(path, "generator", config, model.config.seed, model.state())
 
 
 def load_generator(path) -> MaskedGenerator:
@@ -520,12 +509,12 @@ def load_generator(path) -> MaskedGenerator:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "generator":
         raise ParameterError(f"{path}: expected a generator checkpoint, got {kind!r}")
-    check_config_keys("generator", config["generator"], GeneratorConfig)
-    check_config_keys("condition", config["condition"], RetrievalConfig)
+    for section, cls in (("generator", GeneratorConfig), ("condition", RetrievalConfig)):
+        if section not in config:
+            raise ParameterError(f"{path}: generator checkpoint config has no {section!r} section")
+        check_config_keys(section, config[section], cls)
     model = MaskedGenerator(GeneratorConfig(**config["generator"]))
-    model.load_state_arrays(arrays)  # before the conditioning encoder is attached
-    cond = DualEncoder(RetrievalConfig(**config["condition"]))
-    cond.load_state(arrays, prefix="cond_encoder.")
-    _freeze(cond)
-    model.cond_encoder = cond
+    model.cond_encoder = DualEncoder(RetrievalConfig(**config["condition"]))
+    model.load_state(arrays)
+    _freeze(model.cond_encoder)
     return model

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MalformedSequenceError, ShapeError
+from .errors import MalformedSequenceError, ParameterError, ShapeError
 from .motion import FRAME_WIDTH, BlendshapeRig, MotionSequence, Skeleton
 
 MOTION_MAGIC = b"SDM1"
@@ -226,7 +226,14 @@ def write_manifest(path: str | Path, manifest: dict) -> None:
 
 
 def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """The JSON object at `path`; anything else raises ParameterError."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ParameterError(f"{path}: not a JSON manifest ({e})") from None
+    if not isinstance(doc, dict):
+        raise ParameterError(f"{path}: a manifest must be a JSON object")
+    return doc
 
 
 def sha256_file(path: str | Path) -> str:
@@ -267,6 +274,9 @@ def load_corpus(manifest_path: str | Path):
     from .synth import PairedSample
 
     manifest = read_manifest(manifest_path)
+    if manifest.get("kind") != "corpus":
+        raise ParameterError(f"{manifest_path}: not a corpus manifest "
+                             f"(kind {manifest.get('kind')!r})")
     root = Path(manifest_path).parent
     samples = []
     for row in manifest["samples"]:

@@ -291,16 +291,11 @@ class MotionFeatureExtractor(nn.Module):
         h = self.dec0(h).gelu().upsample_repeat(4)
         return self.dec1(h)
 
-    def state(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.state_arrays())
-        arrays["norm.mean"] = self.mean
-        arrays["norm.std"] = self.std
-        return arrays
+    def buffers(self) -> dict[str, tuple[object, str]]:
+        return {"norm.mean": (self, "mean"), "norm.std": (self, "std")}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.load_state_arrays(arrays)
-        self.mean = nn.load_array(arrays, "norm.mean", self.mean)
-        self.std = nn.load_array(arrays, "norm.std", self.std)
+        super().load_state(arrays)
         self.trained = True
 
 

@@ -28,7 +28,11 @@ def channel_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class Module:
-    """Minimal module: tracks parameters and child modules by attribute name."""
+    """Minimal module: tracks parameters and child modules by attribute name.
+
+    A checkpoint holds `state()`: every parameter plus the non-parameter
+    arrays ("buffers") each module declares in `buffers()`, children included
+    under their attribute path."""
 
     def __init__(self):
         object.__setattr__(self, "_params", {})
@@ -56,12 +60,27 @@ class Module:
     def parameters(self) -> list[Tensor]:
         return [p for _, p in self.named_parameters()]
 
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {name: p.data for name, p in self.named_parameters()}
+    def buffers(self) -> dict[str, tuple[object, str]]:
+        """Checkpoint name -> (holder, attribute) of each saved non-parameter array."""
+        return {}
 
-    def load_state_arrays(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        for name, p in self.named_parameters(prefix):
-            p.data = load_array(arrays, name, p.data)
+    def _slots(self, prefix: str = "") -> list[tuple[str, object, str]]:
+        """(checkpoint name, holder, attribute) of every saved array, walked like
+        `named_parameters`."""
+        out = [(prefix + name, p, "data") for name, p in self._params.items()]
+        out += [(prefix + name, *ref) for name, ref in self.buffers().items()]
+        for cname, child in self._children.items():
+            out.extend(child._slots(prefix + cname + "."))
+        return out
+
+    def state(self) -> dict[str, np.ndarray]:
+        return {name: getattr(holder, attr) for name, holder, attr in self._slots()}
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Load `state()` arrays; a missing one raises ParameterError and a
+        mis-shaped one ShapeError (see load_array)."""
+        for name, holder, attr in self._slots():
+            setattr(holder, attr, load_array(arrays, name, getattr(holder, attr)))
 
     def zero_grad(self) -> None:
         for p in self.parameters():
@@ -69,28 +88,27 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
         super().__init__()
         bound = np.sqrt(6.0 / in_dim)  # Kaiming-uniform, keeps variance through gelu chains
         self.weight = self.register("weight", rng.uniform(-bound, bound, size=(in_dim, out_dim)))
-        self.bias = self.register("bias", np.zeros(out_dim)) if bias else None
+        self.bias = self.register("bias", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        y = x @ self.weight
-        return y + self.bias if self.bias is not None else y
+        return x @ self.weight + self.bias
 
 
 class Conv1d(Module):
     """x: (B, C, T) -> (B, O, T_out)."""
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+                 stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
         bound = np.sqrt(6.0 / (in_ch * kernel))
         self.weight = self.register("weight", rng.uniform(-bound, bound, size=(out_ch, in_ch, kernel)))
-        self.bias = self.register("bias", np.zeros(out_ch)) if bias else None
+        self.bias = self.register("bias", np.zeros(out_ch))
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -106,9 +124,10 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    EPS = 1e-5
+
+    def __init__(self, dim: int):
         super().__init__()
-        self.eps = eps
         self.gain = self.register("gain", np.ones(dim))
         self.shift = self.register("shift", np.zeros(dim))
 
@@ -116,7 +135,7 @@ class LayerNorm(Module):
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        return centered / (var + self.eps).sqrt() * self.gain + self.shift
+        return centered / (var + self.EPS).sqrt() * self.gain + self.shift
 
 
 class SelfAttention(Module):
@@ -143,15 +162,15 @@ class SelfAttention(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm block: attention then a GELU MLP."""
+    """Pre-norm block: attention then a GELU MLP four times the width."""
 
-    def __init__(self, width: int, heads: int, rng: np.random.Generator, mlp_ratio: int = 4):
+    def __init__(self, width: int, heads: int, rng: np.random.Generator):
         super().__init__()
         self.norm1 = LayerNorm(width)
         self.attn = SelfAttention(width, heads, rng)
         self.norm2 = LayerNorm(width)
-        self.fc1 = Linear(width, mlp_ratio * width, rng)
-        self.fc2 = Linear(mlp_ratio * width, width, rng)
+        self.fc1 = Linear(width, 4 * width, rng)
+        self.fc2 = Linear(4 * width, width, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))

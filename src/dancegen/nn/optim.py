@@ -8,12 +8,11 @@ from .tensor import Tensor
 
 
 class AdamW:
-    def __init__(self, params: list[Tensor], lr: float = 2e-4, betas=(0.9, 0.99),
-                 eps: float = 1e-8):
+    b1, b2, eps = 0.9, 0.99, 1e-8
+
+    def __init__(self, params: list[Tensor], lr: float = 2e-4):
         self.params = params
         self.lr = lr
-        self.b1, self.b2 = betas
-        self.eps = eps
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in params]
         self._v = [np.zeros_like(p.data) for p in params]

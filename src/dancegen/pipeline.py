@@ -306,6 +306,9 @@ def stage_evaluate(cfg: RunConfig, corpus: str | Path, generated: str | Path,
     samples, _ = dio.load_corpus(_need(corpus, "evaluate"))
     generated = _need(generated, "evaluate")
     gen_manifest = dio.read_manifest(generated)
+    if gen_manifest.get("kind") != "generated":
+        raise ParameterError(f"{generated}: not a generated manifest "
+                             f"(kind {gen_manifest.get('kind')!r})")
     mmr_whole = load_retrieval(_need(mmr_whole, "evaluate"))
     report = Path(report)
     train = split_of(samples, "train")

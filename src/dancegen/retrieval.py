@@ -92,14 +92,17 @@ class _SeqEncoder(nn.Module):
 
 
 class _MotionDecoder(nn.Module):
-    """Transformer over token-rate queries conditioned on concat(z, c)."""
+    """Transformer over token-rate queries conditioned on concat(z, c); it
+    reconstructs clips of up to MAX_TOKENS tokens."""
+
+    MAX_TOKENS = 256
 
     def __init__(self, d_motion: int, latent_dim: int, width: int, layers: int,
-                 heads: int, rng, max_tokens: int = 256):
+                 heads: int, rng):
         super().__init__()
         self.d_motion = d_motion
         self.cond = nn.Linear(2 * latent_dim, width, rng)
-        self.pos = nn.Embedding(max_tokens, width, rng, scale=0.05)
+        self.pos = nn.Embedding(self.MAX_TOKENS, width, rng, scale=0.05)
         self.blocks = [nn.TransformerBlock(width, heads, rng) for _ in range(layers)]
         self.head = nn.Linear(width, 4 * d_motion, rng)
         self.head.weight.data[:] = 0.0  # reconstruction starts at zero, so the
@@ -148,7 +151,7 @@ class DualEncoder(nn.Module):
         pooled = self.music_enc.pooled(Tensor(x.transpose(0, 2, 1))).data
         self.music_enc.pool_center = pooled.mean(axis=0)
 
-    def motion_slice(self, frames: np.ndarray) -> np.ndarray:
+    def motion_slice(self, frames: np.ndarray | Tensor) -> np.ndarray | Tensor:
         """Full 723-wide frames -> this variant's channel slice."""
         if frames.shape[-1] == self.motion_width:
             return frames
@@ -158,33 +161,26 @@ class DualEncoder(nn.Module):
             f"motion width {frames.shape[-1]} does not fit variant {self.config.variant!r}"
         )
 
-    def encode_motion_batch(self, frames: np.ndarray) -> Tensor:
-        sliced = self.motion_slice(frames)
-        x = (sliced - self.motion_mean) / self.motion_std
-        return self.motion_enc(Tensor(x.transpose(0, 2, 1)))
+    def encode_motion_batch(self, frames: np.ndarray | Tensor) -> Tensor:
+        """(B, T, D) frames -> (B, latent_dim) latents; gradient reaches a
+        Tensor input, as the generator's alignment losses need."""
+        x = self.motion_slice(frames)
+        if not isinstance(x, Tensor):
+            x = Tensor(x)
+        x = (x - self.motion_mean) / self.motion_std
+        return self.motion_enc(x.transpose(0, 2, 1))
 
     def encode_music_batch(self, feats: np.ndarray) -> Tensor:
         x = (feats - self.music_mean) / self.music_std
         return self.music_enc(Tensor(x.transpose(0, 2, 1)))
 
-    def state(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.state_arrays())
-        arrays["norm.motion_mean"] = self.motion_mean
-        arrays["norm.motion_std"] = self.motion_std
-        arrays["norm.music_mean"] = self.music_mean
-        arrays["norm.music_std"] = self.music_std
-        arrays["norm.motion_pool_center"] = self.motion_enc.pool_center
-        arrays["norm.music_pool_center"] = self.music_enc.pool_center
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray], prefix: str = "") -> None:
-        """Load `state()` arrays, each looked up as prefix + its name."""
-        self.load_state_arrays(arrays, prefix)
-        for name in ("motion_mean", "motion_std", "music_mean", "music_std"):
-            setattr(self, name, nn.load_array(arrays, f"{prefix}norm.{name}", getattr(self, name)))
-        for name, enc in (("motion", self.motion_enc), ("music", self.music_enc)):
-            enc.pool_center = nn.load_array(arrays, f"{prefix}norm.{name}_pool_center",
-                                            enc.pool_center)
+    def buffers(self) -> dict[str, tuple[object, str]]:
+        out = {}
+        for side, enc in (("motion", self.motion_enc), ("music", self.music_enc)):
+            out[f"norm.{side}_mean"] = (self, f"{side}_mean")
+            out[f"norm.{side}_std"] = (self, f"{side}_std")
+            out[f"norm.{side}_pool_center"] = (enc, "pool_center")
+        return out
 
 
 # -- public operations ---------------------------------------------------------

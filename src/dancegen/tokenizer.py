@@ -120,7 +120,6 @@ class Codebook:
         self.ema_count = np.zeros(size)
         self.ema_sum = np.zeros((size, dim))
         self.usage = np.zeros(size, dtype=np.int64)
-        self.initialized = False
 
     @property
     def size(self) -> int:
@@ -136,7 +135,6 @@ class Codebook:
         self.codes = pool[pick].copy()
         self.ema_count = np.full(k, 0.1)
         self.ema_sum = self.codes * self.ema_count[:, None]
-        self.initialized = True
 
     def assign(self, latents: np.ndarray) -> np.ndarray:
         """Nearest-code index per row (expanded-form distances, fast path)."""
@@ -384,28 +382,13 @@ class MotionTokenizer(nn.Module):
 
     # -- persistence --------------------------------------------------------
 
-    def state(self) -> dict[str, np.ndarray]:
-        arrays = dict(self.state_arrays())
-        for p in PARTS:
-            for v, cb in enumerate(self.codebooks[p]):
-                arrays[f"codebook.{p}.{v}.codes"] = cb.codes
-                arrays[f"codebook.{p}.{v}.ema_count"] = cb.ema_count
-                arrays[f"codebook.{p}.{v}.ema_sum"] = cb.ema_sum
-                arrays[f"codebook.{p}.{v}.usage"] = cb.usage
-        arrays["norm.mean"] = self.norm_mean
-        arrays["norm.std"] = self.norm_std
-        return arrays
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        self.load_state_arrays(arrays)
-        for p in PARTS:
-            for v, cb in enumerate(self.codebooks[p]):
-                for name in ("codes", "ema_count", "ema_sum", "usage"):
-                    setattr(cb, name, nn.load_array(arrays, f"codebook.{p}.{v}.{name}",
-                                                    getattr(cb, name)))
-                cb.initialized = True
-        self.norm_mean = nn.load_array(arrays, "norm.mean", self.norm_mean)
-        self.norm_std = nn.load_array(arrays, "norm.std", self.norm_std)
+    def buffers(self) -> dict[str, tuple[object, str]]:
+        out = {f"codebook.{p}.{v}.{name}": (cb, name)
+               for p in PARTS for v, cb in enumerate(self.codebooks[p])
+               for name in ("codes", "ema_count", "ema_sum", "usage")}
+        out["norm.mean"] = (self, "norm_mean")
+        out["norm.std"] = (self, "norm_std")
+        return out
 
 
 # -- public operations ----------------------------------------------------------
@@ -591,7 +574,7 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
         if config.layers > 0 and drop_rng.uniform() < config.dropout_q:
             active = int(drop_rng.integers(1, v1))  # keep layers 0..active-1
 
-        if not model.codebooks["body"][0].initialized:
+        if step == 0:  # codebooks start from the first batch's latents
             if log is not None:
                 with nn.no_grad():
                     virgin = tokenizer_loss(model, batch)

@@ -165,7 +165,6 @@ class TestCriterion1:
             d = int(rng.integers(2, 24))
             cb = Codebook(k, d)
             cb.codes = rng.normal(size=(k, d))
-            cb.initialized = True
             v = rng.normal(size=d)
             idx, code = quantize_vector(cb, v)
             dist = float(np.sqrt(((cb.codes[idx] - v) ** 2).sum()))

@@ -313,6 +313,17 @@ class TestGenerate:
         with pytest.raises(ParameterError, match=f"{section}.bogus"):
             load_generator(path)
 
+    @pytest.mark.parametrize("section", ["generator", "condition"])
+    def test_missing_config_section_is_a_parameter_error(self, tiny_generator, tmp_path,
+                                                         section):
+        path = tmp_path / "gen.snc"
+        save_generator(path, tiny_generator)
+        kind, config, seed, arrays = load_checkpoint(path)
+        del config[section]
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match=f"no '{section}' section"):
+            load_generator(path)
+
 
 class TestTapeFree:
     def test_generate_leaves_no_grads_and_matches_taped_run(self, tiny_generator, tiny_tokenizer,
@@ -363,8 +374,8 @@ class TestTrainGenerator:
                             tiny_retrieval_pair["whole"], cfg)
         b = train_generator(train, tiny_tokenizer, tiny_retrieval_pair["body"],
                             tiny_retrieval_pair["whole"], cfg)
-        for (ka, va), (kb, vb) in zip(sorted(a.state_arrays().items()),
-                                      sorted(b.state_arrays().items())):
+        for (ka, va), (kb, vb) in zip(sorted(a.state().items()),
+                                      sorted(b.state().items())):
             np.testing.assert_array_equal(va, vb, err_msg=ka)
 
     def test_encoded_training_set_trains_like_the_samples(self, tiny_corpus, tiny_tokenizer,
@@ -381,6 +392,6 @@ class TestTrainGenerator:
         assert encoded.cond.shape[0] == encoded.c_body.shape[0] == encoded.feats.shape[0] == 6
         a = train_generator(train, tiny_tokenizer, body, whole, cfg)
         b = _fit_generator(encoded, tiny_tokenizer, body, whole, cfg)
-        for (ka, va), (kb, vb) in zip(sorted(a.state_arrays().items()),
-                                      sorted(b.state_arrays().items())):
+        for (ka, va), (kb, vb) in zip(sorted(a.state().items()),
+                                      sorted(b.state().items())):
             np.testing.assert_array_equal(va, vb, err_msg=ka)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dancegen import io as dio
-from dancegen.errors import MalformedSequenceError, ShapeError
+from dancegen.errors import MalformedSequenceError, ParameterError, ShapeError
 from dancegen.motion import FRAME_WIDTH, BlendshapeRig, MotionSequence, default_skeleton
 from dancegen.synth import generate_track
 
@@ -212,3 +212,75 @@ class TestCorpusFiles:
             assert back.track.genre_id == orig.track.genre_id
             np.testing.assert_array_equal(
                 back.motion.data, orig.motion.data.astype(np.float32).astype(np.float64))
+
+    def test_non_json_manifest_is_a_parameter_error(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text("motion/a.sdm1\n")
+        for read in (dio.read_manifest, dio.load_corpus):
+            with pytest.raises(ParameterError, match="not a JSON manifest") as err:
+                read(path)
+            assert str(path) in str(err.value)
+        path.write_text("[1, 2]")
+        with pytest.raises(ParameterError, match="JSON object"):
+            dio.read_manifest(path)
+
+    def test_generated_manifest_is_not_a_corpus(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        dio.write_manifest(path, {"kind": "generated", "rows": []})
+        with pytest.raises(ParameterError, match="not a corpus manifest") as err:
+            dio.load_corpus(path)
+        assert str(path) in str(err.value)
+
+
+KINDS = ("tokenizer", "retrieval", "generator", "extractor")
+
+
+class TestModelCheckpoints:
+    """A checkpoint holds a model's `state()`: its parameters plus the buffers
+    it declares, children included."""
+
+    @pytest.fixture(scope="class")
+    def models(self, tiny_tokenizer, tiny_retrieval_pair, tiny_generator, tiny_train_frames):
+        from dancegen import generator as gen, metrics as met, retrieval as ret, tokenizer as tok
+
+        extractor = met.train_extractor(list(tiny_train_frames[:8]),
+                                        met.ExtractorConfig(channels="hand", hidden=8, steps=3,
+                                                            batch=4))
+        return {
+            "tokenizer": (tok.save_tokenizer, tok.load_tokenizer, tiny_tokenizer),
+            "retrieval": (ret.save_retrieval, ret.load_retrieval, tiny_retrieval_pair["body"]),
+            "generator": (gen.save_generator, gen.load_generator, tiny_generator),
+            "extractor": (met.save_extractor, met.load_extractor, extractor),
+        }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_load_then_save_is_byte_identical(self, models, kind, tmp_path):
+        save, load, model = models[kind]
+        save(tmp_path / "a.snc", model)
+        save(tmp_path / "b.snc", load(tmp_path / "a.snc"))
+        assert (tmp_path / "a.snc").read_bytes() == (tmp_path / "b.snc").read_bytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fresh_model_loads_the_state_bitwise(self, models, kind):
+        from dancegen.retrieval import DualEncoder
+
+        model = models[kind][2]
+        fresh = type(model)(model.config)
+        if kind == "generator":
+            fresh.cond_encoder = DualEncoder(model.cond_encoder.config)
+        state = model.state()
+        fresh.load_state(state)
+        back = fresh.state()
+        assert sorted(back) == sorted(state)
+        for name, arr in state.items():
+            assert back[name].dtype == arr.dtype, name
+            np.testing.assert_array_equal(back[name], arr, err_msg=name)
+
+    def test_generator_state_is_its_parameters_and_the_condition_encoder(self, models):
+        from dancegen.generator import MaskedGenerator
+
+        model = models["generator"][2]
+        own = {name for name, _ in MaskedGenerator(model.config).named_parameters()}
+        cond = {"cond_encoder." + name for name in model.cond_encoder.state()}
+        assert own.isdisjoint(cond)
+        assert set(model.state()) == own | cond

@@ -273,6 +273,36 @@ class TestModules:
         names = [n for n, _ in block.named_parameters()]
         assert len(names) == len(set(names))
 
+    def test_state_holds_parameters_and_buffers_of_every_child(self):
+        class Stats(nn.Module):
+            def __init__(self, rng):
+                super().__init__()
+                self.proj = nn.Linear(3, 2, rng)
+                self.mean = rng.normal(size=3)
+                self.count = rng.integers(0, 9, size=4)
+
+            def buffers(self):
+                return {"norm.mean": (self, "mean"), "norm.count": (self, "count")}
+
+        class Outer(nn.Module):
+            def __init__(self, rng):
+                super().__init__()
+                self.scale = self.register("scale", rng.normal(size=2))
+                self.inner = Stats(rng)
+
+        a, b = Outer(np.random.default_rng(0)), Outer(np.random.default_rng(1))
+        arrays = a.state()
+        assert sorted(arrays) == ["inner.norm.count", "inner.norm.mean", "inner.proj.bias",
+                                  "inner.proj.weight", "scale"]
+        b.load_state(arrays)
+        for name, arr in b.state().items():
+            assert arr.dtype == arrays[name].dtype, name
+            np.testing.assert_array_equal(arr, arrays[name], err_msg=name)
+        with pytest.raises(ParameterError, match="inner.norm.mean"):
+            b.load_state({k: v for k, v in arrays.items() if k != "inner.norm.mean"})
+        with pytest.raises(ShapeError, match="inner.norm.count"):
+            b.load_state({**arrays, "inner.norm.count": np.arange(5)})
+
     def test_layernorm_normalizes(self):
         rng = np.random.default_rng(12)
         ln = nn.LayerNorm(16)

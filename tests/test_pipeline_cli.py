@@ -300,6 +300,20 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
 
+    @pytest.mark.parametrize("gallery", ["notes.txt", "generated/manifest.json"])
+    def test_retrieve_cli_rejects_a_gallery_that_is_not_a_corpus(self, capsys, micro_run,
+                                                                 tmp_path, gallery):
+        _, report = micro_run
+        root = report.parent
+        (tmp_path / "notes.txt").write_text("motion/a.sdm1\n")
+        path = (tmp_path if gallery == "notes.txt" else root) / gallery
+        track_rel = json.loads((root / "corpus" / "manifest.json").read_text())["samples"][0]["track"]
+        code = cli_main(["retrieve", "--mmr-ckpt", str(root / "mmr_whole.snc"),
+                         "--query", str(root / "corpus" / track_rel), "--gallery", str(path)])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and str(path) in lines[0]
+
     def test_verify_cli(self, micro_run, capsys):
         cfg, _ = micro_run
         from dancegen.pipeline import artifact_root
@@ -413,6 +427,19 @@ class TestCliEvaluate:
         report = tmp_path / "report.txt"
         assert self._evaluate(run_report.parent, report, mmr=tmp_path / "absent.snc") == 2
         assert "absent.snc" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_corpus_manifest_as_generated_is_one_error_line(self, tmp_path, micro_run, capsys):
+        _, run_report = micro_run
+        root = run_report.parent
+        report = tmp_path / "report.txt"
+        gen = root / "corpus" / "manifest.json"
+        assert cli_main(["evaluate", "--config", str(root / "config.json"), "--gt", str(gen),
+                         "--gen", str(gen), "--mmr-whole-ckpt", str(root / "mmr_whole.snc"),
+                         "--report", str(report)]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "not a generated manifest" in lines[0] and str(gen) in lines[0]
         assert not report.exists()
 
     def test_override_reaches_report(self, tmp_path, micro_run):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from dancegen.errors import ParameterError, ShapeError, VariantError
-from dancegen.motion import FRAME_WIDTH, MotionSequence
+from dancegen.motion import FRAME_WIDTH, MotionSequence, default_spans
+from dancegen.nn import Tensor
 from dancegen.retrieval import (
     DualEncoder,
     RetrievalConfig,
@@ -141,6 +142,21 @@ class TestEncoders:
     def test_body_variant_accepts_full_frames(self, tiny_retrieval_pair, tiny_corpus):
         z = encode_motion(tiny_retrieval_pair["body"], tiny_corpus[0].motion)
         assert np.linalg.norm(z) == pytest.approx(1.0, abs=1e-5)
+
+    def test_tensor_frames_encode_like_arrays_and_take_gradient(self):
+        model = DualEncoder(RetrievalConfig(variant="body", hidden=8, latent_dim=16, heads=2))
+        rng = np.random.default_rng(3)
+        model.motion_mean = rng.normal(size=263)
+        model.motion_std = rng.uniform(0.5, 2.0, size=263)
+        frames = rng.normal(size=(2, 16, FRAME_WIDTH))
+        x = Tensor(frames, requires_grad=True)
+        z = model.encode_motion_batch(x)
+        np.testing.assert_array_equal(z.data, model.encode_motion_batch(frames).data)
+        (z * Tensor(rng.normal(size=z.shape))).sum().backward()
+        body = default_spans().indices("body")
+        rest = np.setdiff1d(np.arange(FRAME_WIDTH), body)
+        assert np.all(x.grad[:, :, rest] == 0.0)
+        assert np.all(np.abs(x.grad[:, :, body]).sum(axis=(0, 1)) > 0.0)
 
     def test_segment_latents_one_per_second(self, tiny_retrieval_pair, tiny_corpus):
         model = tiny_retrieval_pair["whole"]

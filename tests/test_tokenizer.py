@@ -59,14 +59,12 @@ class TestQuantizeVector:
     def test_tie_breaks_to_smallest_index(self):
         cb = Codebook(2, 2)
         cb.codes = np.array([[0.0, 0.0], [1.0, 1.0]])
-        cb.initialized = True
         idx, _ = quantize_vector(cb, np.array([0.5, 0.5]))
         assert idx == 0
 
     def test_example_nearest(self):
         cb = Codebook(2, 2)
         cb.codes = np.array([[0.0, 0.0], [1.0, 1.0]])
-        cb.initialized = True
         idx, _ = quantize_vector(cb, np.array([0.9, 0.8]))
         assert idx == 1
 
@@ -372,11 +370,11 @@ def _earlier_layout_arrays(cfg: TokenizerConfig) -> dict[str, np.ndarray]:
              "up1": nn.Conv1d(hid, hid, 3, rng, padding=1), "res2": nn.ResConv1d(hid, rng),
              "up2": nn.Conv1d(hid, hid, 3, rng, padding=1),
              "head": nn.Conv1d(hid + 4, FRAME_WIDTH, 3, rng, padding=1)}
-    out = {f"decoder.{name}.{k}": v for name, m in trunk.items() for k, v in m.state_arrays().items()}
+    out = {f"decoder.{name}.{k}": v for name, m in trunk.items() for k, v in m.state().items()}
     for part in ("hand", "face"):
         for slot in range(cfg.layers + 2):
             out.update({f"{part}_mixers.{slot}.{k}": v
-                        for k, v in _Mixer(d, rng).state_arrays().items()})
+                        for k, v in _Mixer(d, rng).state().items()})
     out["norm.enc_scales"] = np.ones(3)
     return out
 
