@@ -313,6 +313,10 @@ def stage_evaluate(cfg: RunConfig, corpus: str | Path, generated: str | Path,
     report = Path(report)
     train = split_of(samples, "train")
     test = {s.sample_id: s for s in split_of(samples, "test")}
+    unknown = sorted({row["id"] for row in gen_manifest["rows"]} - test.keys())
+    if unknown:
+        raise ParameterError(f"{generated}: ids not in the corpus test split: "
+                             f"{', '.join(unknown)}")
 
     train_frames = [s.motion.data for s in train]
     ex_whole = _extractor(cfg, "whole", train_frames, report.parent)

@@ -10,13 +10,16 @@ Two variants exist: "body" encodes the 263 body channels, "whole" the full
 from __future__ import annotations
 
 import hashlib
+import os
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import nn
 from .errors import (
+    PairingError,
     ParameterError,
     ShapeError,
     TrainingFailureError,
@@ -31,6 +34,9 @@ from .synth import MusicTrack, TRACK_FEATURE_DIM
 VARIANT_WIDTHS = {"body": 263, "whole": FRAME_WIDTH}
 # bytes of latents each model's memo keeps; the least recently used go first
 _MEMO_BYTES = 8 << 20
+# bytes per piece of the memo's content digests: big enough that the pool's
+# cost per piece is small, small enough that one clip spreads over the CPUs
+_PIECE_BYTES = 1 << 20
 
 
 @dataclass
@@ -186,31 +192,65 @@ class DualEncoder(nn.Module):
 # -- public operations ---------------------------------------------------------
 
 
+def _new_hash_pool() -> None:
+    """One hashing worker per CPU the process may use.  The executor starts
+    its threads on first use, so importing starts none; a forked child has
+    none of its parent's threads and gets a new pool."""
+    global _hash_pool
+    _hash_pool = ThreadPoolExecutor(len(os.sched_getaffinity(0)))
+
+
+_new_hash_pool()
+os.register_at_fork(after_in_child=_new_hash_pool)
+
+
+def _piece_digests(buffers: list[np.ndarray]) -> list[list[bytes]]:
+    """The sha256 of each _PIECE_BYTES piece of each C-contiguous buffer, in
+    order.  The pieces are memoryview slices, so nothing is copied, and they
+    hash in one map on the process-wide `_hash_pool`; hashlib releases the
+    GIL for buffers over 2 KiB, so they hash in parallel.  No numerics run
+    there, and the digests do not depend on the worker count.  Buffers of
+    at most one piece in all hash on the calling thread, where the pool's
+    hand-off would cost more than it saves."""
+    views = [memoryview(b.reshape(-1).view(np.uint8)) for b in buffers]
+    starts = [range(0, len(v), _PIECE_BYTES) for v in views]
+    pieces = [v[i:i + _PIECE_BYTES] for v, r in zip(views, starts) for i in r]
+    run = _hash_pool.map if sum(map(len, views)) > _PIECE_BYTES else map
+    digests = iter(run(lambda piece: hashlib.sha256(piece).digest(), pieces))
+    return [[next(digests) for _ in r] for r in starts]
+
+
 def _memo_encode(model: DualEncoder, side: str, batches: list) -> list[np.ndarray]:
     """`encode_<side>_many(model, x)` for each batch x, computed once per
     model state and input content.
 
     The key covers all the side's output depends on: the encoder's parameters
     and pool centre, the side's mean and std, the variant, and the input's
-    shape and float64 bytes.  An in-place edit of a clip or a weight,
-    `load_state` or `set_normalizers` therefore misses instead of returning a
-    stale latent.  The memo lives on the model and keeps at most _MEMO_BYTES
-    of results.  They are handed out as copies, so callers may write into them.
+    shape and float64 bytes.  Those bytes are hashed as sha256 over fixed
+    _PIECE_BYTES pieces, all of one call together on the CPUs the process may
+    use (`_piece_digests`); a key is (state digest, input shape, sha256 of the
+    input's piece digests), the same bits whatever the pool's size.  An
+    in-place edit of a clip or a weight, `load_state` or `set_normalizers`
+    therefore misses instead of returning a stale latent.  The memo lives on
+    the model and keeps at most _MEMO_BYTES of results.  They are handed out
+    as copies, so callers may write into them.
     """
     enc, mean, std, encode = (
         (model.motion_enc, model.motion_mean, model.motion_std, encode_motion_many)
         if side == "motion" else
         (model.music_enc, model.music_mean, model.music_std, encode_music_many))
+    state = [np.ascontiguousarray(a, dtype=np.float64)
+             for a in [p.data for p in enc.parameters()] + [enc.pool_center, mean, std]]
+    inputs = [np.ascontiguousarray(x, dtype=np.float64) for x in batches]
+    digests = _piece_digests(state + inputs)
     h = hashlib.sha256(f"{side}:{model.config.variant}".encode())
-    for a in [p.data for p in enc.parameters()] + [enc.pool_center, mean, std]:
-        a = np.ascontiguousarray(a, dtype=np.float64)
+    for a, pieces in zip(state, digests):
         h.update(repr(a.shape).encode())
-        h.update(a)
-    state = h.digest()
+        h.update(b"".join(pieces))
+    state_key = h.digest()
     memo, out = model._memo, []
-    for x in batches:
-        x64 = np.ascontiguousarray(x, dtype=np.float64)
-        key = (state, x64.shape, hashlib.sha256(x64).digest())
+    for x, x64, pieces in zip(batches, inputs, digests[len(state):]):
+        key = (state_key, x64.shape, hashlib.sha256(b"".join(pieces)).digest())
         z = memo.get(key)
         if z is None:
             z = memo[key] = encode(model, x)
@@ -252,6 +292,8 @@ def segment_latents(model: DualEncoder, item, seconds: float = 1.0) -> np.ndarra
     else:
         raise ParameterError("segment_latents expects a MotionSequence or MusicTrack")
     win = int(round(seconds * rate))
+    if win < 1:
+        raise ParameterError(f"seconds={seconds} is less than one frame at {rate} per second")
     count = frames.shape[0] // win
     if count < 1:
         raise ParameterError("clip shorter than one segment")
@@ -419,6 +461,8 @@ def median_rank(ranks: np.ndarray) -> float:
 def retrieval_ranks(model: DualEncoder, motions: list, tracks: list,
                     direction: str = "music->motion") -> np.ndarray:
     """1-based rank of each query's true pair over the full gallery."""
+    if len(motions) != len(tracks):
+        raise PairingError(f"{len(motions)} motions do not pair with {len(tracks)} tracks")
     z = np.stack([encode_motion(model, m) for m in motions])
     c = np.stack([encode_music(model, t) for t in tracks])
     sims = c @ z.T if direction == "music->motion" else z @ c.T

@@ -442,6 +442,24 @@ class TestCliEvaluate:
         assert "not a generated manifest" in lines[0] and str(gen) in lines[0]
         assert not report.exists()
 
+    def test_unknown_generated_id_is_one_error_line(self, tmp_path, micro_run, capsys):
+        _, run_report = micro_run
+        root = run_report.parent
+        data = tmp_path / "data"
+        shutil.copytree(root / "corpus", data / "corpus")
+        shutil.copytree(root / "generated", data / "generated")
+        manifest = data / "generated" / "manifest.json"
+        gen = json.loads(manifest.read_text())
+        gen["rows"][0]["id"] = "no-such-clip"
+        manifest.write_text(json.dumps(gen))
+        out = tmp_path / "out"
+        out.mkdir()
+        assert self._evaluate(root, out / "report.txt", data=data) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "no-such-clip" in lines[0]
+        assert list(out.iterdir()) == []
+
     def test_override_reaches_report(self, tmp_path, micro_run):
         _, run_report = micro_run
         root = run_report.parent

@@ -1,9 +1,14 @@
 """Contrastive objective closed values, encoder contracts, retrieval math."""
 
+import os
+import signal
+import time
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from dancegen.errors import ParameterError, ShapeError, VariantError
+from dancegen.errors import PairingError, ParameterError, ShapeError, VariantError
 from dancegen.motion import FRAME_WIDTH, MotionSequence, default_spans
 from dancegen.nn import Tensor
 from dancegen.retrieval import (
@@ -164,6 +169,13 @@ class TestEncoders:
         assert segs.shape == (4, 256)  # 4-second clips
         np.testing.assert_allclose(np.linalg.norm(segs, axis=1), 1.0, atol=1e-5)
 
+    @pytest.mark.parametrize("seconds", [0.0, 0.01, -1.0])
+    def test_segment_under_one_frame_rejected(self, tiny_retrieval_pair, tiny_corpus, seconds):
+        sample = tiny_corpus[0]
+        for item in (sample.motion, sample.track):
+            with pytest.raises(ParameterError, match="less than one frame"):
+                segment_latents(tiny_retrieval_pair["whole"], item, seconds=seconds)
+
 
 class TestRetrieve:
     def test_singleton_gallery(self, tiny_retrieval_pair, tiny_corpus):
@@ -301,6 +313,14 @@ class TestTraining:
         assert ranks.shape == (len(test),)
         assert np.all(ranks >= 1) and np.all(ranks <= len(test))
 
+    def test_retrieval_ranks_unequal_lists_rejected(self, tiny_retrieval_pair, tiny_corpus):
+        model = tiny_retrieval_pair["whole"]
+        motions = [s.motion for s in tiny_corpus[:2]]
+        tracks = [s.track for s in tiny_corpus[:2]]
+        for m, t in ((motions[:1], tracks), (motions, tracks[:1])):
+            with pytest.raises(PairingError):
+                retrieval_ranks(model, m, t)
+
     def test_missing_norm_array_named(self, tiny_retrieval_pair, tmp_path):
         from dancegen.io import load_checkpoint, save_checkpoint
 
@@ -378,6 +398,15 @@ class TestLatentMemo:
         return calls
 
     @staticmethod
+    def _long_clip(tiny_corpus):
+        """Frames whose bytes span three memo-key pieces."""
+        from dancegen import retrieval
+
+        frames = np.concatenate([s.motion.data for s in tiny_corpus[:4]])
+        assert 2 * retrieval._PIECE_BYTES < frames.nbytes <= 3 * retrieval._PIECE_BYTES
+        return frames
+
+    @staticmethod
     def _windows(frames, rate):
         return np.stack([frames[i * rate:(i + 1) * rate]
                          for i in range(frames.shape[0] // rate)])
@@ -437,6 +466,90 @@ class TestLatentMemo:
         after = encode_motion(model, motion)
         np.testing.assert_array_equal(after, encode_motion_many(model, motion.data[None])[0])
         assert not np.array_equal(after, before)
+
+    def test_weight_edit_in_a_later_piece_re_encodes(self, tiny_corpus):
+        from dancegen import retrieval
+
+        model = DualEncoder(RetrievalConfig(variant="whole", hidden=64))
+        weight = model.motion_enc.conv0.weight.data
+        assert weight.nbytes > retrieval._PIECE_BYTES
+        motion = tiny_corpus[0].motion
+        before = encode_motion(model, motion)
+        weight.flat[-1] += 0.5
+        after = encode_motion(model, motion)
+        np.testing.assert_array_equal(after, encode_motion_many(model, motion.data[None])[0])
+        assert not np.array_equal(after, before)
+
+    def test_clip_over_several_pieces(self, tiny_retrieval_pair, tiny_corpus, tmp_path,
+                                      monkeypatch):
+        from dancegen import retrieval
+
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        frames = self._long_clip(tiny_corpus)
+        before = encode_motion_many(model, frames[None])[0]
+        for _ in range(2):  # a miss, then a hit
+            np.testing.assert_array_equal(encode_motion(model, frames), before)
+        calls = self._count_encodes(monkeypatch)
+        per_piece = retrieval._PIECE_BYTES // frames.itemsize
+        for i in (3, per_piece + 5, frames.size - 1):  # first, middle and last piece
+            frames.flat[i] += 0.25
+            z = encode_motion(model, frames)
+            np.testing.assert_array_equal(z, encode_motion_many(model, frames[None])[0])
+            assert not np.array_equal(z, before)
+            before = z
+        assert calls["motion"] == 3
+
+    def test_keys_and_latents_do_not_depend_on_the_pool(self, tiny_retrieval_pair, tiny_corpus,
+                                                         tmp_path, monkeypatch):
+        from dancegen import retrieval
+
+        frames = self._long_clip(tiny_corpus)
+        gallery = [frames] + [s.motion for s in tiny_corpus[:3]]
+        seen = []
+        for workers in (1, 2):
+            model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(retrieval, "_hash_pool", pool)
+                order, sims = retrieve(model, tiny_corpus[0].track, gallery, k=4)
+                segs = segment_latents(model, MotionSequence(frames))
+            seen.append((list(model._memo), list(model._memo.values()), order, sims, segs))
+        (keys1, memo1, *out1), (keys2, memo2, *out2) = seen
+        assert keys1 == keys2 and len(keys1) == 6
+        for a, b in zip(memo1 + out1, memo2 + out2):
+            np.testing.assert_array_equal(a, b)
+
+    def test_retrieve_and_encode_motion_share_an_entry(self, tiny_retrieval_pair, tiny_corpus,
+                                                       tmp_path, monkeypatch):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        gallery = [s.motion for s in tiny_corpus[:3]]
+        retrieve(model, tiny_corpus[0].track, gallery, k=1)
+        keys = set(model._memo)
+        calls = self._count_encodes(monkeypatch)
+        z = encode_motion(model, gallery[1])
+        assert calls == {"motion": 0, "music": 0} and set(model._memo) == keys
+        np.testing.assert_array_equal(z, encode_motion_many(model, gallery[1].data[None])[0])
+
+    def test_forked_child_hashes(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
+        model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
+        frames = self._long_clip(tiny_corpus)
+        encode_motion(model, frames)  # the hashing pool's threads have started
+        frames = frames[::-1].copy()
+        want = encode_motion_many(model, frames[None])[0]
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = int(not np.array_equal(encode_motion(model, frames), want))
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60.0
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish encoding")
+            time.sleep(0.05)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
     def test_load_state_re_encodes(self, tiny_retrieval_pair, tiny_corpus, tmp_path):
         model = self._copy(tiny_retrieval_pair["whole"], tmp_path)
