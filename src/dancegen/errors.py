@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the config-key check
-every config owner raises one of."""
+"""Exception types shared across the package, the config-key check every
+config owner raises one of, and the clip-length check of the trainers that
+stack their clips."""
 
 from __future__ import annotations
 
@@ -89,3 +90,12 @@ def check_config_keys(section: str, keys, cls) -> None:
     for key in keys:
         if key not in known:
             raise ParameterError(f"unknown config key {section + '.' + key!r}")
+
+
+def check_same_length(what: str, clips) -> None:
+    """Raise ShapeError naming the lengths when the arrays in `clips` differ in
+    length along their first axis, so they cannot be stacked into one batch."""
+    lengths = sorted({len(c) for c in clips})
+    if len(lengths) > 1:
+        raise ShapeError(f"{what} differ in length ({', '.join(map(str, lengths))}); "
+                         f"training stacks them, so all must have one length")

@@ -19,8 +19,10 @@ from .errors import (
     MissingCheckpointError,
     ParameterError,
     ShapeError,
+    TooShortError,
     TrainingFailureError,
     check_config_keys,
+    check_same_length,
 )
 from .motion import JV, JOINT_COUNT, MotionSequence, default_spans
 from .nn import Tensor
@@ -279,6 +281,9 @@ class MotionFeatureExtractor(nn.Module):
         return f"conv-ae/{self.config.channels}/{self.config.feature_dim}/seed{self.config.seed}"
 
     def encode_batch(self, frames: np.ndarray) -> Tensor:
+        if frames.shape[1] < 4:  # the two stride-2 convs leave one step to pool from 4
+            raise TooShortError(f"a clip of {frames.shape[1]} frames is too short for the "
+                                f"feature extractor, which needs at least 4")
         x = (frames[:, :, self.channel_idx] - self.mean) / self.std
         h = self.enc0(Tensor(x.transpose(0, 2, 1))).gelu()
         h = self.enc1(h).gelu()
@@ -301,10 +306,15 @@ class MotionFeatureExtractor(nn.Module):
 
 def train_extractor(frames_list: list, config: ExtractorConfig,
                     log: list | None = None) -> MotionFeatureExtractor:
+    frames_list = list(frames_list)
+    if not frames_list:
+        raise ParameterError("empty training set")
+    check_same_length("motion clips", frames_list)
     model = MotionFeatureExtractor(config)
-    stack = np.stack(list(frames_list))
-    sliced = stack[:, :, model.channel_idx]
-    model.mean, model.std = nn.channel_stats(sliced.reshape(-1, sliced.shape[-1]))
+    stack = np.stack(frames_list)
+    # the channel copy is a temporary: it is freed once the statistics are fitted
+    model.mean, model.std = nn.channel_stats(
+        stack[:, :, model.channel_idx].reshape(-1, model.channel_idx.size))
     opt = nn.AdamW(model.parameters(), lr=config.lr)
     rng = generator(config.seed, "extractor-batches")
     n = stack.shape[0]

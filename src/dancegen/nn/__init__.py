@@ -7,6 +7,7 @@ from .tensor import (
     gather_last,
     softmax,
     log_softmax,
+    linear,
     conv1d,
 )
 from .layers import (
@@ -26,7 +27,7 @@ from .rng import splitmix64, fnv1a64, derive_seed, generator
 
 __all__ = [
     "Tensor", "no_grad", "concat", "stack", "gather_rows", "gather_last", "softmax", "log_softmax",
-    "conv1d", "load_array", "channel_stats", "Module", "Linear", "Conv1d", "Embedding",
+    "linear", "conv1d", "load_array", "channel_stats", "Module", "Linear", "Conv1d", "Embedding",
     "LayerNorm", "SelfAttention", "TransformerBlock", "ResConv1d", "AdamW", "warmup_lr",
     "splitmix64", "fnv1a64", "derive_seed", "generator",
 ]

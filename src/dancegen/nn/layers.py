@@ -95,7 +95,7 @@ class Linear(Module):
         self.bias = self.register("bias", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.weight + self.bias
+        return T.linear(x, self.weight, self.bias)
 
 
 class Conv1d(Module):

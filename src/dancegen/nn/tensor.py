@@ -13,7 +13,11 @@ forward.  A graph can therefore be backpropagated once; a second backward
 that reaches a released node raises `GraphReleasedError`.  Leaf tensors
 keep accumulating `grad` across passes.  `conv1d` keeps its padded input
 for the backward pass, not the im2col matrix, which is K times larger; the
-weight gradient rebuilds that matrix, with the same bits.
+weight gradient rebuilds that matrix, with the same bits.  `linear`, which
+`nn.Linear` calls, is one node for `x @ W + b`.  Its weight gradient is
+summed item by item over the leading axes of x into one (in, out) buffer,
+not formed as a stack of per-item products and then summed; the bits are
+those of the two-op graph.
 
 Inference runs tape-free under `no_grad()`: ops compute the same values but
 record no parents or backward closures, so nothing is kept alive for a
@@ -550,6 +554,44 @@ def log_softmax(t: Tensor, axis: int = -1) -> Tensor:
     shift = Tensor(np.max(t.data, axis=axis, keepdims=True))
     centered = t - shift
     return centered - centered.exp().sum(axis=axis, keepdims=True).log()
+
+
+def _weight_grad(x: Array, g: Array) -> Array:
+    """x^T g summed over the leading axes of (..., L, in) x and (..., L, out) g
+    into one (in, out) buffer, item by item in C order.  That is the order in
+    which `(np.swapaxes(x, -1, -2) @ g).sum(leading axes)` adds the items of its
+    stack, so the bits are the same, but only two (in, out) buffers are live."""
+    if x.ndim == 2:
+        return x.T @ g
+    items = np.ndindex(x.shape[:-2])
+    first = next(items)
+    total = x[first].T @ g[first]
+    product = np.empty_like(total)
+    for i in items:
+        np.matmul(x[i].T, g[i], out=product)
+        total += product
+    return total
+
+
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x @ weight + bias as one tape node.  x: (..., in), weight: (in, out).
+
+    The bias is added into the product in place, and the backward pass forms
+    the weight gradient with `_weight_grad`, not as a stack of per-item
+    products; every output and gradient has the bits of `(x @ weight) + bias`
+    built from the two ops."""
+    y = x.data @ weight.data
+    y += bias.data
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(_weight_grad(x.data, g))
+        if bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+
+    return Tensor._make(y, (x, weight, bias), backward)
 
 
 def conv1d(x: Tensor, weight: Tensor, bias: Tensor | None, stride: int = 1, padding: int = 0) -> Tensor:

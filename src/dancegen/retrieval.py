@@ -22,9 +22,11 @@ from .errors import (
     PairingError,
     ParameterError,
     ShapeError,
+    TooShortError,
     TrainingFailureError,
     VariantError,
     check_config_keys,
+    check_same_length,
 )
 from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
@@ -65,6 +67,13 @@ class RetrievalConfig:
         return asdict(self)
 
 
+def _check_music_width(feats) -> None:
+    """ShapeError unless the rows of `feats` are TRACK_FEATURE_DIM wide."""
+    if np.shape(feats)[-1] != TRACK_FEATURE_DIM:
+        raise ShapeError(f"music features are {np.shape(feats)[-1]} wide, "
+                         f"the encoder takes {TRACK_FEATURE_DIM}")
+
+
 class _SeqEncoder(nn.Module):
     """Strided temporal convs, mean pool, projection to the sphere.
 
@@ -74,6 +83,8 @@ class _SeqEncoder(nn.Module):
     loss.  A fixed pool-center measured on the training set is subtracted
     before projection so latents start spread out.
     """
+
+    MIN_STEPS = 4  # the two stride-2 convs leave one step to pool from 4
 
     def __init__(self, c_in: int, hidden: int, out_dim: int, rng):
         super().__init__()
@@ -85,6 +96,9 @@ class _SeqEncoder(nn.Module):
         self.pool_center = np.zeros(hidden)
 
     def pooled(self, x: Tensor) -> Tensor:
+        if x.shape[2] < self.MIN_STEPS:
+            raise TooShortError(f"a clip of {x.shape[2]} steps is too short to encode; "
+                                f"the encoders need at least {self.MIN_STEPS}")
         h = self.conv0(x).gelu()
         h = self.down1(h).gelu()
         h = self.down2(h).gelu()
@@ -177,6 +191,7 @@ class DualEncoder(nn.Module):
         return self.motion_enc(x.transpose(0, 2, 1))
 
     def encode_music_batch(self, feats: np.ndarray) -> Tensor:
+        _check_music_width(feats)
         x = (feats - self.music_mean) / self.music_std
         return self.music_enc(Tensor(x.transpose(0, 2, 1)))
 
@@ -361,6 +376,10 @@ def train_retrieval(motions: np.ndarray | list, features: np.ndarray | list,
     features = list(features)
     if len(motions) != len(features) or not motions:
         raise ParameterError("need equal nonempty motion and feature lists")
+    check_same_length("motion clips", motions)
+    check_same_length("feature clips", features)
+    for feats in features:
+        _check_music_width(feats)
     model = DualEncoder(config)
     model.set_normalizers(
         np.concatenate([model.motion_slice(m) for m in motions], axis=0),
@@ -374,17 +393,19 @@ def train_retrieval(motions: np.ndarray | list, features: np.ndarray | list,
     batch_size = min(config.batch, n)
     motions = np.stack([model.motion_slice(m) for m in motions])
     features = np.stack(features)
+    clip = motions.shape[1]
+    crop = config.crop_frames if 0 < config.crop_frames < clip else clip
 
     for step in range(config.steps):
         idx = batch_rng.choice(n, size=batch_size, replace=False)
-        mot = motions[idx]
-        feat = features[idx]
-        if config.crop_frames and config.crop_frames < mot.shape[1]:
-            crop = config.crop_frames
-            start = int(batch_rng.integers(0, mot.shape[1] - crop + 1))
-            mot = mot[:, start:start + crop]
-            row = int(round(start * feat.shape[1] / motions.shape[1]))
-            feat = feat[:, row:row + crop]
+        if crop < clip:  # gather only the crop, not the whole clips
+            start = int(batch_rng.integers(0, clip - crop + 1))
+            row = int(round(start * features.shape[1] / clip))
+            mot = motions[idx, start:start + crop]
+            feat = features[idx, row:row + crop]
+        else:
+            mot = motions[idx]
+            feat = features[idx]
         z = model.encode_motion_batch(mot)
         c = model.encode_music_batch(feat)
         S = similarity_matrix(z, c, config.temperature)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from dancegen.errors import ComparabilityError, ParameterError, ShapeError
+from dancegen import metrics
+from dancegen.errors import ComparabilityError, ParameterError, ShapeError, TooShortError
 from dancegen.metrics import (
     BeatSet,
     ExtractorConfig,
@@ -352,6 +353,26 @@ class TestFeatureExtractor:
                         extractor.state())
         with pytest.raises(ParameterError, match="extractor.bogus"):
             load_extractor(path)
+
+    def test_empty_training_set(self):
+        with pytest.raises(ParameterError, match="empty training set"):
+            train_extractor([], ExtractorConfig(steps=1))
+
+    def test_clips_of_two_lengths(self, monkeypatch):
+        def no_model(config):
+            raise AssertionError("training started before the inputs were checked")
+
+        monkeypatch.setattr(metrics, "MotionFeatureExtractor", no_model)
+        clips = [np.zeros((40, FRAME_WIDTH)), np.zeros((44, FRAME_WIDTH))]
+        with pytest.raises(ShapeError, match="differ in length \\(40, 44\\)"):
+            train_extractor(clips, ExtractorConfig(steps=1))
+
+    def test_short_clips(self, extractor):
+        with pytest.raises(TooShortError, match="3 frames"):
+            train_extractor([np.zeros((3, FRAME_WIDTH))] * 2, ExtractorConfig(hidden=8, steps=1))
+        with pytest.raises(TooShortError, match="3 frames"):
+            motion_features(extractor, [np.zeros((3, FRAME_WIDTH))])
+        assert motion_features(extractor, [np.zeros((4, FRAME_WIDTH))]).vectors.shape == (1, 32)
 
     def test_nan_frames_raise_training_failure(self, tiny_train_frames):
         from dancegen.errors import TrainingFailureError

@@ -253,6 +253,60 @@ class TestConv:
         assert live <= y.data.nbytes + padded + 8 * 1024  # im2col would add 5x padded
 
 
+class TestLinear:
+    """nn.Linear is one tape node with the bits of `(x @ W) + b` built from two."""
+
+    @staticmethod
+    def _run(shape, fused: bool, twice: bool = False):
+        rng = np.random.default_rng(19)
+        x = Tensor(rng.normal(size=shape), requires_grad=True)
+        layer = nn.Linear(shape[-1], shape[-1] + 3, rng)
+        layer.bias.data = rng.normal(size=layer.bias.data.shape)
+
+        def apply(t):
+            return layer(t) if fused else (t @ layer.weight) + layer.bias
+
+        y = apply(x)
+        if twice:  # the layer's parameters take two gradients in one graph
+            y = apply(y[..., :shape[-1]].tanh()) + y.gelu() * 0.5
+        out = y.data
+        y.backward(rng.normal(size=y.shape))
+        return out, x.grad, layer.weight.grad, layer.bias.grad
+
+    def test_forward_is_one_node_over_input_weight_and_bias(self):
+        rng = np.random.default_rng(20)
+        layer = nn.Linear(4, 3, rng)
+        x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        y = layer(x)
+        assert len(y._parents) == 3
+        assert all(a is b for a, b in zip(y._parents, (x, layer.weight, layer.bias)))
+
+    @pytest.mark.parametrize("shape", [(7, 6), (3, 7, 6), (2, 3, 7, 6), (4, 1, 6)])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_bits_match_the_two_node_reference(self, shape, twice):
+        fused = self._run(shape, fused=True, twice=twice)
+        reference = self._run(shape, fused=False, twice=twice)
+        for name, a, b in zip(("output", "x.grad", "weight.grad", "bias.grad"), fused, reference):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+    def test_weight_gradient_holds_no_per_item_stack(self):
+        rng = np.random.default_rng(21)
+        layer = nn.Linear(48, 2892, rng)
+        x = Tensor(rng.normal(size=(48, 16, 48)), requires_grad=True)
+        y = layer(x)
+        g = rng.normal(size=y.shape)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            y.backward(g)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        stack = 48 * layer.weight.data.nbytes  # one (48, 2892) product per item: 53 MB
+        # the input gradient plus a few (in, out) buffers
+        assert peak <= x.data.nbytes + 4 * layer.weight.data.nbytes < stack / 8
+
+
 class TestModules:
     def test_layer_modules_grad_flow(self):
         rng = np.random.default_rng(10)
@@ -341,6 +395,7 @@ class TestNoGrad:
     OPS = {
         "add": lambda a, b: a + b,
         "matmul": lambda a, b: a @ b,
+        "linear": lambda a, b: nn.linear(a, b, b[0]),
         "gelu": lambda a, b: a.gelu(),
         "concat": lambda a, b: nn.concat([a, b], axis=0),
         "softmax": lambda a, b: nn.softmax(a),

@@ -8,7 +8,14 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from dancegen.errors import PairingError, ParameterError, ShapeError, VariantError
+from dancegen.errors import (
+    PairingError,
+    ParameterError,
+    ShapeError,
+    TooShortError,
+    VariantError,
+)
+from dancegen import retrieval
 from dancegen.motion import FRAME_WIDTH, MotionSequence, default_spans
 from dancegen.nn import Tensor
 from dancegen.retrieval import (
@@ -29,7 +36,9 @@ from dancegen.retrieval import (
     load_retrieval,
     segment_latents,
     similarity_matrix,
+    train_retrieval,
 )
+from dancegen.synth import TRACK_FEATURE_DIM
 
 
 class TestInfoNce:
@@ -229,6 +238,68 @@ class TestRetrieve:
         mean = hits / trials
         sigma = np.sqrt(0.01 * 0.99 / trials)
         assert abs(mean - 0.01) <= 3 * sigma
+
+
+class TestMalformedInputs:
+    """Clips too short for the two stride-2 convs raise TooShortError, and
+    clips that cannot form one batch raise ShapeError, at every entry point."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return DualEncoder(RetrievalConfig(hidden=16))
+
+    @pytest.mark.parametrize("frames", [0, 1, 3])
+    def test_encode_motion_short_clip(self, model, frames):
+        with pytest.raises(TooShortError, match=f"{frames} steps"):
+            encode_motion(model, np.zeros((frames, FRAME_WIDTH)))
+        assert encode_motion(model, np.zeros((4, FRAME_WIDTH))).shape == (256,)
+
+    @pytest.mark.parametrize("rows", [0, 2, 3])
+    def test_encode_music_short_track(self, model, rows):
+        with pytest.raises(TooShortError, match=f"{rows} steps"):
+            encode_music(model, np.zeros((rows, TRACK_FEATURE_DIM)))
+        assert encode_music(model, np.zeros((4, TRACK_FEATURE_DIM))).shape == (256,)
+
+    def test_retrieve_short_gallery_clip_or_query(self, model, tiny_corpus):
+        sample = tiny_corpus[0]
+        with pytest.raises(TooShortError):
+            retrieve(model, sample.track, [sample.motion.data, np.zeros((3, FRAME_WIDTH))], k=1)
+        with pytest.raises(TooShortError):
+            retrieve(model, np.zeros((3, TRACK_FEATURE_DIM)), [sample.motion], k=1)
+
+    def test_segment_latents_short_segments(self, model, tiny_corpus):
+        sample = tiny_corpus[0]
+        with pytest.raises(TooShortError, match="3 steps"):
+            segment_latents(model, sample.motion, seconds=3 / sample.motion.fps)
+        with pytest.raises(TooShortError, match="3 steps"):
+            segment_latents(model, sample.track, seconds=3 / sample.track.feature_rate)
+
+    def test_train_retrieval_short_clips(self):
+        mot = [np.zeros((2, FRAME_WIDTH))] * 3
+        feat = [np.zeros((2, TRACK_FEATURE_DIM))] * 3
+        with pytest.raises(TooShortError, match="2 steps"):
+            train_retrieval(mot, feat, RetrievalConfig(hidden=16, steps=1))
+
+    def test_music_features_of_the_wrong_width(self, model, monkeypatch):
+        with pytest.raises(ShapeError, match="34 wide"):
+            encode_music(model, np.zeros((30, 34)))
+        monkeypatch.setattr(retrieval, "DualEncoder", self._no_model)
+        with pytest.raises(ShapeError, match="34 wide"):
+            train_retrieval([np.zeros((30, FRAME_WIDTH))] * 2, [np.zeros((30, 34))] * 2,
+                            RetrievalConfig(hidden=16, steps=1))
+
+    @staticmethod
+    def _no_model(config):
+        raise AssertionError("training started before the inputs were checked")
+
+    def test_train_retrieval_clips_of_two_lengths(self, monkeypatch):
+        monkeypatch.setattr(retrieval, "DualEncoder", self._no_model)
+        mot = [np.zeros((40, FRAME_WIDTH)), np.zeros((44, FRAME_WIDTH))]
+        feat = [np.zeros((40, TRACK_FEATURE_DIM)), np.zeros((44, TRACK_FEATURE_DIM))]
+        with pytest.raises(ShapeError, match="motion clips differ in length \\(40, 44\\)"):
+            train_retrieval(mot, feat, RetrievalConfig(hidden=16, steps=1))
+        with pytest.raises(ShapeError, match="feature clips differ in length \\(40, 44\\)"):
+            train_retrieval([mot[0]] * 2, feat, RetrievalConfig(hidden=16, steps=1))
 
 
 class TestTraining:
