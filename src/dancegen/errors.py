@@ -1,6 +1,5 @@
-"""Exception types shared across the package, the config-key check every
-config owner raises one of, and the clip-length check of the trainers that
-stack their clips."""
+"""Exception types shared across the package, the one reader of every config
+section, and the clip-length check of the trainers that stack their clips."""
 
 from __future__ import annotations
 
@@ -83,13 +82,34 @@ class DependencyError(DanceGenError):
         self.stage = stage
 
 
-def check_config_keys(section: str, keys, cls) -> None:
-    """Raise ParameterError naming `section.key` for the first of `keys` that
-    is not a field of the config dataclass `cls`."""
+def read_config(cls, section: str, doc: dict, base=None):
+    """The config dataclass `cls` from a saved or given dict, starting from
+    `base` (default `cls()`) so a missing key keeps its value there.
+
+    A JSON list becomes a tuple, and a nested dataclass is read from its own
+    dict as section `key`.  A key in `cls.RETIRED` (a removed field) is
+    dropped when it holds the one value the code still runs, or any value
+    where that table holds None; any other value raises ParameterError, and
+    so does an unknown key, each named `section.key`."""
+    base = cls() if base is None else base
+    retired = getattr(cls, "RETIRED", {})
     known = {f.name for f in dataclasses.fields(cls)}
-    for key in keys:
+    kept = {}
+    for key, value in doc.items():
+        name = f"{section}.{key}"
+        if isinstance(value, list):
+            value = tuple(value)
+        if key in retired:
+            if retired[key] is not None and value != retired[key]:
+                raise ParameterError(f"config key {name}={value!r} was removed; "
+                                     f"only {retired[key]!r} is supported")
+            continue
         if key not in known:
-            raise ParameterError(f"unknown config key {section + '.' + key!r}")
+            raise ParameterError(f"unknown config key {name!r}")
+        current = getattr(base, key)
+        kept[key] = (read_config(type(current), key, value, current)
+                     if dataclasses.is_dataclass(current) else value)
+    return dataclasses.replace(base, **kept)
 
 
 def check_same_length(what: str, clips) -> None:

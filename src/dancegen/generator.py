@@ -23,7 +23,7 @@ from .errors import (
     ParameterError,
     TooShortError,
     TrainingFailureError,
-    check_config_keys,
+    read_config,
 )
 from .motion import MotionSequence
 from .nn import Tensor
@@ -33,6 +33,12 @@ from .synth import MusicTrack, TRACK_FEATURE_DIM
 from .tokenizer import DOWNSCALE, MotionTokenizer, TokenGrid, code_sums, decoder_apply, PARTS
 
 MASK_RATIO_FLOOR = 0.05
+MAX_TOKENS = 256       # rows of the position table: the longest token grid
+COND_DROP = 0.1        # share of training samples without their condition
+GUMBEL_START = 1.0     # relaxation temperature at the first training step
+GUMBEL_END = 0.1       # and at the last
+TEMPERATURE_START = 1.0  # sampling temperature at the first unmasking round
+TEMPERATURE_END = 0.0    # and at the last
 
 
 @dataclass
@@ -47,18 +53,14 @@ class GeneratorConfig:
     music_latent: int = 256
     lambda_body: float = 0.5
     lambda_whole: float = 0.5
-    cond_drop: float = 0.1
-    gumbel_start: float = 1.0
-    gumbel_end: float = 0.1
     steps: int = 400
     batch: int = 64
     lr: float = 2e-4
     warmup_steps: int = 100
-    max_tokens: int = 256
     seed: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    RETIRED = {"cond_drop": COND_DROP, "gumbel_start": GUMBEL_START, "gumbel_end": GUMBEL_END,
+               "max_tokens": MAX_TOKENS}
 
 
 @dataclass
@@ -66,18 +68,15 @@ class GenerationConfig:
     cfg_scale_base: float = 4.0
     cfg_scale_residual: float = 5.0
     iterations: int = 10
-    temperature_start: float = 1.0
-    temperature_end: float = 0.0
     seed: int = 0
+
+    RETIRED = {"temperature_start": TEMPERATURE_START, "temperature_end": TEMPERATURE_END}
 
     def __post_init__(self):
         if self.cfg_scale_base < 0 or self.cfg_scale_residual < 0:
             raise ParameterError("cfg scales must be >= 0")
         if self.iterations < 1:
             raise ParameterError("iterations must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def unmask_schedule(u: float) -> float:
@@ -120,7 +119,7 @@ class MaskedGenerator(nn.Module):
         K, w = config.codebook_size, config.width
         self.embed = [nn.Embedding(K + 1, w, rng) for _ in PARTS]  # mask id = K
         self.fuse = nn.Linear(3 * w, w, rng)
-        self.pos = nn.Embedding(config.max_tokens, w, rng, scale=0.05)
+        self.pos = nn.Embedding(MAX_TOKENS, w, rng, scale=0.05)
         self.music_proj = nn.Linear(config.music_latent, w, rng)
         self.feat_proj = nn.Linear(DOWNSCALE * TRACK_FEATURE_DIM, w, rng)
         self.null_cond = self.register("null_cond", rng.normal(0.0, 0.02, size=(w,)))
@@ -153,6 +152,7 @@ class MaskedGenerator(nn.Module):
     def forward_base(self, tokens: np.ndarray, music_latent: np.ndarray,
                      feats: np.ndarray, drop: np.ndarray | None = None) -> Tensor:
         """tokens (B, 3, n) int -> logits Tensor (3, B, n, K)."""
+        _check_length(tokens.shape[-1])
         self.forward_count += 1
         B, _, n = tokens.shape
         parts = [emb(tokens[:, p]) for p, emb in enumerate(self.embed)]
@@ -169,6 +169,7 @@ class MaskedGenerator(nn.Module):
                          music_latent: np.ndarray, feats: np.ndarray,
                          drop: np.ndarray | None = None) -> Tensor:
         """prev_sums (B, 3, n, d) cumulative code vectors of layers < layer."""
+        _check_length(prev_sums.shape[2])
         self.forward_count += 1
         B, _, n, _ = prev_sums.shape
         parts = [proj(Tensor(prev_sums[:, p])) for p, proj in enumerate(self.code_proj)]
@@ -181,6 +182,28 @@ class MaskedGenerator(nn.Module):
             h = block(h)
         body = h[:, 1:]
         return nn.stack([head(body) for head in self.res_heads], axis=0)
+
+
+def _check_length(n: int) -> None:
+    """ParameterError naming the limit when n token steps overrun the
+    position table."""
+    if n > MAX_TOKENS:
+        raise ParameterError(f"{n} token steps ({DOWNSCALE * n} frames) exceed the generator's "
+                             f"limit of {MAX_TOKENS} ({DOWNSCALE * MAX_TOKENS} frames)")
+
+
+def _check_frozen_shapes(config: GeneratorConfig, tokenizer: MotionTokenizer,
+                         mmr_whole: DualEncoder) -> None:
+    """ParameterError naming both values when a generator shape differs from
+    the frozen model it reads codes or music latents from."""
+    frozen = {"codebook_size": ("tokenizer's codebook_size", tokenizer.config.codebook_size),
+              "code_dim": ("tokenizer's code_dim", tokenizer.config.code_dim),
+              "layers_v": ("tokenizer's layers", tokenizer.config.layers),
+              "music_latent": ("music encoder's latent_dim", mmr_whole.config.latent_dim)}
+    for key, (name, value) in frozen.items():
+        if getattr(config, key) != value:
+            raise ParameterError(f"generator {key}={getattr(config, key)} does not match "
+                                 f"the {name}={value}")
 
 
 def track_features(track: MusicTrack, n: int) -> np.ndarray:
@@ -345,6 +368,7 @@ def _fit_generator(encoded: TrainingSet, tokenizer: MotionTokenizer, mmr_body: D
                    mmr_whole: DualEncoder, config: GeneratorConfig,
                    log: list | None = None) -> "MaskedGenerator":
     """train_generator's optimisation loop on already encoded samples."""
+    _check_frozen_shapes(config, tokenizer, mmr_whole)
     _freeze(tokenizer)
     _freeze(mmr_body)
     _freeze(mmr_whole)
@@ -365,9 +389,9 @@ def _fit_generator(encoded: TrainingSet, tokenizer: MotionTokenizer, mmr_body: D
     for step in range(config.steps):
         idx = batch_rng.choice(count, size=batch_size, replace=False)
         frac = step / max(1, config.steps - 1)
-        tau = config.gumbel_start + (config.gumbel_end - config.gumbel_start) * frac
+        tau = GUMBEL_START + (GUMBEL_END - GUMBEL_START) * frac
         ratio = max(unmask_schedule(float(mask_rng.uniform())), MASK_RATIO_FLOOR)
-        drop = drop_rng.uniform(size=batch_size) < config.cond_drop
+        drop = drop_rng.uniform(size=batch_size) < COND_DROP
         total, ce_b, al_b = base_loss(
             model, tokenizer, mmr_body, grids[idx], cond[idx], c_body[idx],
             feats[idx], ratio, mask_rng, tau=tau, gumbel_rng=gumbel_rng, drop=drop)
@@ -418,6 +442,7 @@ def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTra
     """Two-stage iterative generation, then decode through the tokenizer."""
     from .retrieval import encode_music
 
+    _check_frozen_shapes(model.config, tokenizer, model.cond_encoder)
     gcfg = gcfg or GenerationConfig()
     fps = track.feature_rate
     n_frames = int(round(track.duration * fps))
@@ -440,7 +465,7 @@ def generate(model: MaskedGenerator, tokenizer: MotionTokenizer, track: MusicTra
 
         logits = _cfg_logits(model, forward, gcfg.cfg_scale_base)  # (3, 1, n, K)
         frac = r / max(1, iters - 1)
-        temp = gcfg.temperature_start + (gcfg.temperature_end - gcfg.temperature_start) * frac
+        temp = TEMPERATURE_START + (TEMPERATURE_END - TEMPERATURE_START) * frac
         choice = _sample(logits[:, 0], temp, rng)                  # (3, n)
         logp = nn.log_softmax(Tensor(logits[:, 0]), axis=-1).data
         conf = np.take_along_axis(logp, choice[:, :, None], axis=-1)[:, :, 0].mean(axis=0)
@@ -499,7 +524,7 @@ def save_generator(path, model: MaskedGenerator) -> None:
     """The generator's state, its conditioning encoder's under `cond_encoder.`."""
     from .io import save_checkpoint
 
-    config = {"generator": model.config.to_dict(), "condition": model.cond_encoder.config.to_dict()}
+    config = {"generator": asdict(model.config), "condition": asdict(model.cond_encoder.config)}
     save_checkpoint(path, "generator", config, model.config.seed, model.state())
 
 
@@ -509,12 +534,11 @@ def load_generator(path) -> MaskedGenerator:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "generator":
         raise ParameterError(f"{path}: expected a generator checkpoint, got {kind!r}")
-    for section, cls in (("generator", GeneratorConfig), ("condition", RetrievalConfig)):
+    for section in ("generator", "condition"):
         if section not in config:
             raise ParameterError(f"{path}: generator checkpoint config has no {section!r} section")
-        check_config_keys(section, config[section], cls)
-    model = MaskedGenerator(GeneratorConfig(**config["generator"]))
-    model.cond_encoder = DualEncoder(RetrievalConfig(**config["condition"]))
+    model = MaskedGenerator(read_config(GeneratorConfig, "generator", config["generator"]))
+    model.cond_encoder = DualEncoder(read_config(RetrievalConfig, "condition", config["condition"]))
     model.load_state(arrays)
     _freeze(model.cond_encoder)
     return model

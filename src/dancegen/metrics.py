@@ -21,10 +21,10 @@ from .errors import (
     ShapeError,
     TooShortError,
     TrainingFailureError,
-    check_config_keys,
     check_same_length,
+    read_config,
 )
-from .motion import JV, JOINT_COUNT, MotionSequence, default_spans
+from .motion import FRAME_WIDTH, JV, JOINT_COUNT, MotionSequence, default_spans
 from .nn import Tensor
 from .nn.rng import generator
 
@@ -260,7 +260,7 @@ class MotionFeatureExtractor(nn.Module):
         super().__init__()
         self.config = config
         spans = default_spans()
-        self.channel_idx = (np.arange(723) if config.channels == "whole"
+        self.channel_idx = (np.arange(FRAME_WIDTH) if config.channels == "whole"
                             else spans.indices("hand"))
         c_in = self.channel_idx.size
         rng = generator(config.seed, "extractor-init")
@@ -304,12 +304,21 @@ class MotionFeatureExtractor(nn.Module):
         self.trained = True
 
 
+def _check_frame_width(frames_list) -> None:
+    """ShapeError naming the width unless every clip's frames are FRAME_WIDTH wide."""
+    for frames in frames_list:
+        if np.shape(frames)[-1] != FRAME_WIDTH:
+            raise ShapeError(f"motion frames are {np.shape(frames)[-1]} wide, "
+                             f"the feature extractor takes {FRAME_WIDTH}")
+
+
 def train_extractor(frames_list: list, config: ExtractorConfig,
                     log: list | None = None) -> MotionFeatureExtractor:
     frames_list = list(frames_list)
     if not frames_list:
         raise ParameterError("empty training set")
     check_same_length("motion clips", frames_list)
+    _check_frame_width(frames_list)
     model = MotionFeatureExtractor(config)
     stack = np.stack(frames_list)
     # the channel copy is a temporary: it is freed once the statistics are fitted
@@ -343,6 +352,7 @@ def motion_features(extractor: MotionFeatureExtractor, seqs: list) -> FeatureSet
     if not extractor.trained:
         raise MissingCheckpointError("feature extractor has not been trained or loaded")
     frames = [s.data if isinstance(s, MotionSequence) else np.asarray(s) for s in seqs]
+    _check_frame_width(frames)
     vecs = [extractor.encode_batch(f[None]).data[0] for f in frames]
     return FeatureSet(np.stack(vecs), extractor.extractor_id)
 
@@ -359,7 +369,6 @@ def load_extractor(path) -> MotionFeatureExtractor:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "extractor":
         raise ParameterError(f"{path}: expected an extractor checkpoint, got {kind!r}")
-    check_config_keys("extractor", config, ExtractorConfig)
-    model = MotionFeatureExtractor(ExtractorConfig(**config))
+    model = MotionFeatureExtractor(read_config(ExtractorConfig, "extractor", config))
     model.load_state(arrays)
     return model

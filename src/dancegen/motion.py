@@ -258,7 +258,7 @@ def pose_positions(seq: MotionSequence) -> np.ndarray:
     return np.concatenate([root, root + local], axis=1)
 
 
-def recover_global_positions(seq: MotionSequence, skel: Skeleton | None = None) -> np.ndarray:
+def recover_global_positions(seq: MotionSequence) -> np.ndarray:
     """World positions (N, 52, 3); local joint offsets are root-relative."""
     root_pos, yaw = recover_root_trajectory(seq)
     local = seq.data[:, JP].reshape(seq.frames, JOINT_COUNT - 1, 3)

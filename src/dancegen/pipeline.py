@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as dio
-from .errors import DependencyError, ParameterError, check_config_keys
+from .errors import DependencyError, ParameterError, read_config
 from .metrics import (
     BeatSet,
     ExtractorConfig,
@@ -67,9 +67,6 @@ class MetricParams:
     diversity_pairs: int = 300
     mm_generations: int = 10
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class RunConfig:
@@ -85,42 +82,13 @@ class RunConfig:
     metrics: MetricParams = field(default_factory=MetricParams)
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "out_dir": self.out_dir,
-            "corpus": self.corpus.to_dict(),
-            "hrvq": self.hrvq.to_dict(),
-            "mmr_body": self.mmr_body.to_dict(),
-            "mmr_whole": self.mmr_whole.to_dict(),
-            "magm": self.magm.to_dict(),
-            "extractor": self.extractor.to_dict(),
-            "generation": self.generation.to_dict(),
-            "metrics": self.metrics.to_dict(),
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
         """Config from a saved dict; a missing key keeps its default and an
         unknown section or key raises ParameterError."""
-        defaults = RunConfig()
-        for name, doc in d.items():
-            if name in ("seed", "out_dir", "hrvq"):  # TokenizerConfig.from_dict checks hrvq
-                continue
-            if not dataclasses.is_dataclass(getattr(defaults, name, None)):
-                raise ParameterError(f"unknown config section {name!r}")
-            check_config_keys(name, doc, type(getattr(defaults, name)))
-        return RunConfig(
-            seed=d.get("seed", 0),
-            out_dir=d.get("out_dir", "run"),
-            corpus=CorpusConfig.from_dict(d.get("corpus", {})),
-            hrvq=TokenizerConfig.from_dict(d.get("hrvq", {})),
-            mmr_body=RetrievalConfig(**{**{"variant": "body"}, **d.get("mmr_body", {})}),
-            mmr_whole=RetrievalConfig(**{**{"variant": "whole"}, **d.get("mmr_whole", {})}),
-            magm=GeneratorConfig(**d.get("magm", {})),
-            extractor=ExtractorConfig(**d.get("extractor", {})),
-            generation=GenerationConfig(**d.get("generation", {})),
-            metrics=MetricParams(**d.get("metrics", {})),
-        )
+        return read_config(RunConfig, "run", d)
 
     @staticmethod
     def desk_profile(seed: int = 0, out_dir: str = "run") -> "RunConfig":
@@ -181,7 +149,11 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
         leaf = parts[-1]
         if leaf not in node:
             raise ParameterError(f"unknown config key {key!r}")
-        node[leaf] = json.loads(raw) if raw and raw[0] in "[{" else _coerce(node[leaf], raw)
+        try:
+            node[leaf] = _coerce(node[leaf], raw)
+        except ValueError as e:  # json.JSONDecodeError is one too
+            raise ParameterError(f"override {key}={raw!r} is not a valid "
+                                 f"{type(node[leaf]).__name__}") from e
     return RunConfig.from_dict(doc)
 
 
@@ -220,7 +192,7 @@ def _train_split(corpus: str | Path, stage: str):
 
 def stage_corpus(cfg: RunConfig, out_dir: str | Path) -> Path:
     """Write the synthetic corpus under `out_dir`; returns its manifest."""
-    return dio.save_corpus(make_corpus(cfg.corpus), out_dir, cfg.corpus.to_dict())
+    return dio.save_corpus(make_corpus(cfg.corpus), out_dir, asdict(cfg.corpus))
 
 
 def stage_mmr(cfg: RunConfig, variant: str, corpus: str | Path, out: str | Path) -> Path:
@@ -281,7 +253,7 @@ def stage_generate(cfg: RunConfig, corpus: str | Path, hrvq: str | Path, magm: s
     wall = time.perf_counter() - t0
     passes = (model.forward_count - cost_before) / max(clips, 1)
     doc = {"kind": "generated", "rows": rows, "forward_passes_per_clip": passes,
-           "config": cfg.generation.to_dict()}
+           "config": asdict(cfg.generation)}
     dio.write_manifest(out_manifest, doc)
     (out_dir / "timings.txt").write_text(
         f"generate: {wall:.2f} s wall for {clips} clips "

@@ -25,8 +25,8 @@ from .errors import (
     TooShortError,
     TrainingFailureError,
     VariantError,
-    check_config_keys,
     check_same_length,
+    read_config,
 )
 from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
@@ -39,6 +39,8 @@ _MEMO_BYTES = 8 << 20
 # bytes per piece of the memo's content digests: big enough that the pool's
 # cost per piece is small, small enough that one clip spreads over the CPUs
 _PIECE_BYTES = 1 << 20
+# share of training steps before negative filtering starts
+FILTER_WARMUP_FRAC = 0.5
 
 
 @dataclass
@@ -56,8 +58,9 @@ class RetrievalConfig:
     crop_frames: int = 0
     lr: float = 1e-4
     warmup_steps: int = 50
-    filter_warmup_frac: float = 0.5  # negative filtering only after this point
     seed: int = 0
+
+    RETIRED = {"filter_warmup_frac": FILTER_WARMUP_FRAC}
 
     def __post_init__(self):
         if self.variant not in VARIANT_WIDTHS:
@@ -412,7 +415,7 @@ def train_retrieval(motions: np.ndarray | list, features: np.ndarray | list,
         # fresh encoders put every latent in one tight cluster, so the
         # false-negative filter would mask all negatives; hold it back until
         # the space has spread out
-        if step >= config.filter_warmup_frac * config.steps:
+        if step >= FILTER_WARMUP_FRAC * config.steps:
             keep = false_negative_mask(z.data, c.data, config.negative_threshold)
         else:
             keep = None
@@ -510,7 +513,6 @@ def load_retrieval(path) -> DualEncoder:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "retrieval":
         raise ParameterError(f"{path}: expected a retrieval checkpoint, got {kind!r}")
-    check_config_keys("retrieval", config, RetrievalConfig)
-    model = DualEncoder(RetrievalConfig(**config))
+    model = DualEncoder(read_config(RetrievalConfig, "retrieval", config))
     model.load_state(arrays)
     return model

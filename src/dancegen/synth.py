@@ -11,7 +11,7 @@ track's emotion.  Everything is seed-deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .nn.rng import derive_seed, generator
 
 GENRE_COUNT = 15
 EMOTION_COUNT = 7
+EMOTIONS = tuple(range(EMOTION_COUNT))  # the emotion ids a corpus draws from
 TRACK_FEATURE_DIM = 35     # 32 bands + onset + tempo + emotion
 _VOCAB_KEY = 0x5EED        # fixed key: genre vocabularies are corpus-independent
 
@@ -309,25 +310,10 @@ class CorpusConfig:
     fps: int = DEFAULT_FPS
     bpm_range: tuple[float, float] = (100.0, 140.0)
     genres: tuple[int, ...] = tuple(range(GENRE_COUNT))
-    emotions: tuple[int, ...] = tuple(range(EMOTION_COUNT))
     drift_scale: float = 1.0     # slow pose-drift amplitude multiplier
     harmonics: int = _HARMONICS  # oscillators per joint in the genre banks
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["bpm_range"] = list(self.bpm_range)
-        d["genres"] = list(self.genres)
-        d["emotions"] = list(self.emotions)
-        return d
-
-    @staticmethod
-    def from_dict(d: dict) -> "CorpusConfig":
-        """Config from a saved dict; a missing key keeps its default."""
-        d = dict(d)
-        for key in ("bpm_range", "genres", "emotions"):
-            if key in d:
-                d[key] = tuple(d[key])
-        return CorpusConfig(**d)
+    RETIRED = {"emotions": EMOTIONS}
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -362,7 +348,7 @@ def make_corpus(config: CorpusConfig) -> list[PairedSample]:
         seed_i = derive_seed(config.seed, "sample", i)
         rng = generator(seed_i, "draw")
         genre = config.genres[i % len(config.genres)]
-        emotion = int(rng.choice(config.emotions))
+        emotion = int(rng.choice(EMOTIONS))
         bpm = float(rng.uniform(lo, hi))
         track = generate_track(seed_i, config.duration_s, bpm, genre, emotion,
                                feature_rate=config.fps)

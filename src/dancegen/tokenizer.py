@@ -32,13 +32,14 @@ from .errors import (
     ParameterError,
     TooShortError,
     TrainingFailureError,
-    check_config_keys,
+    read_config,
 )
 from .motion import FRAME_WIDTH, MotionSequence, default_spans
 from .nn import Tensor
 from .nn.rng import generator
 
 DOWNSCALE = 4  # two stride-2 stages
+EMA_DECAY = 0.99  # codebook moving-average decay
 
 
 @dataclass
@@ -51,7 +52,6 @@ class TokenizerConfig:
     alpha: float = 0.02              # body commitment weight
     beta: float = 0.02               # hands
     gamma: float = 0.02              # face
-    ema_decay: float = 0.99
     conditioning: str = "chain"      # "chain" or "none"
     steps: int = 300
     batch: int = 256
@@ -67,27 +67,13 @@ class TokenizerConfig:
     warmup_steps: int = 100
     seed: int = 0
 
+    # removed fields and the one value each may still hold in a saved config
+    # (None: any value); the model runs exactly that behaviour
+    RETIRED = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
+               "gumbel_start": None, "gumbel_end": None, "ema_decay": EMA_DECAY}
+
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TokenizerConfig":
-        """Config from a saved dict.  A retired key is dropped when it holds
-        the behaviour the code still runs; any other value raises, and so
-        does an unknown key, named as in a run config's `hrvq` section."""
-        kept = {key: value for key, value in d.items() if key not in _RETIRED}
-        check_config_keys("hrvq", kept, cls)
-        for key, value in d.items():
-            if _RETIRED.get(key) is not None and value != _RETIRED[key]:
-                raise ParameterError(f"tokenizer option {key}={value!r} was removed; "
-                                     f"only {_RETIRED[key]!r} is supported")
-        return cls(**kept)
-
-
-# removed TokenizerConfig fields and the one value each may still hold in a
-# saved config (None: any value); the model runs exactly that behaviour
-_RETIRED = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
-            "gumbel_start": None, "gumbel_end": None}
 
 
 @dataclass
@@ -593,7 +579,7 @@ def train_tokenizer(train_frames: np.ndarray, config: TokenizerConfig,
         if opt_mix is not None:
             opt_mix.step(lr=config.lr * config.mixer_lr_scale * lr_frac)
 
-        _ema_update_codebooks(model, loss.ladder, config.ema_decay)
+        _ema_update_codebooks(model, loss.ladder, EMA_DECAY)
         if (step + 1) % steps_per_epoch == 0:
             _reset_dead_codes(model, loss.ladder, reset_rng)
         if config.refit_every and (step + 1) % config.refit_every == 0:
@@ -685,6 +671,6 @@ def load_tokenizer(path) -> MotionTokenizer:
     kind, config, _seed, arrays = load_checkpoint(path)
     if kind != "tokenizer":
         raise ParameterError(f"{path}: expected a tokenizer checkpoint, got {kind!r}")
-    model = MotionTokenizer(TokenizerConfig.from_dict(config))
+    model = MotionTokenizer(read_config(TokenizerConfig, "hrvq", config))
     model.load_state(arrays)
     return model

@@ -1,5 +1,7 @@
 """Masking, schedules, guidance identities, losses, iterative generation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,12 @@ from dancegen.generator import (
     save_generator,
     load_generator,
     track_features,
+    train_generator,
     unmask_schedule,
 )
 from dancegen.io import load_checkpoint, save_checkpoint
 from dancegen.nn.rng import generator as make_rng
-from dancegen.synth import generate_track
+from dancegen.synth import MusicTrack, generate_track
 from dancegen.tokenizer import encode, load_tokenizer, save_tokenizer
 
 
@@ -323,6 +326,61 @@ class TestGenerate:
         save_checkpoint(path, kind, config, seed, arrays)
         with pytest.raises(ParameterError, match=f"no '{section}' section"):
             load_generator(path)
+
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("generator", "cond_drop", 0.1), ("generator", "gumbel_start", 1.0),
+        ("generator", "gumbel_end", 0.1), ("generator", "max_tokens", 256),
+        ("condition", "filter_warmup_frac", 0.5)])
+    def test_retired_checkpoint_key(self, tiny_generator, tmp_path, section, key, value):
+        path = tmp_path / "gen.snc"
+        save_generator(path, tiny_generator)
+        kind, config, seed, arrays = load_checkpoint(path)
+        config[section][key] = value
+        save_checkpoint(path, kind, config, seed, arrays)
+        back = load_generator(path)
+        assert back.config == tiny_generator.config
+        assert back.cond_encoder.config == tiny_generator.cond_encoder.config
+        config[section][key] = value + 0.25
+        save_checkpoint(path, kind, config, seed, arrays)
+        with pytest.raises(ParameterError, match=f"{section}.{key}"):
+            load_generator(path)
+
+    def test_track_past_the_position_table(self, tiny_generator, tiny_tokenizer):
+        part = generate_track(seed=3, duration_s=20.0)
+        track = MusicTrack(np.concatenate([part.features, part.features]),
+                           np.concatenate([part.beat_times, part.beat_times + 20.0]),
+                           part.genre_id, part.emotion_id, 40.0)
+        before = tiny_generator.forward_count
+        with pytest.raises(ParameterError, match="limit of 256"):
+            generate(tiny_generator, tiny_tokenizer, track, GenerationConfig(iterations=2))
+        assert tiny_generator.forward_count == before
+        cond, feats = np.zeros((1, 256)), np.zeros((1, 257, 140))
+        with pytest.raises(ParameterError, match="limit of 256"):
+            tiny_generator.forward_base(np.zeros((1, 3, 257), dtype=np.int64), cond, feats)
+        with pytest.raises(ParameterError, match="limit of 256"):
+            tiny_generator.forward_residual(np.zeros((1, 3, 257, 32)), 1, cond, feats)
+
+
+class TestFrozenShapes:
+    @pytest.mark.parametrize("key, value, frozen", [("codebook_size", 32, 64),
+                                                    ("codebook_size", 8, 64),
+                                                    ("code_dim", 16, 32),
+                                                    ("layers_v", 1, 2),
+                                                    ("music_latent", 128, 256)])
+    def test_mismatch_names_both_values(self, tiny_generator, tiny_tokenizer, tiny_retrieval_pair,
+                                        tiny_corpus, key, value, frozen):
+        cfg = dataclasses.replace(tiny_generator.config, steps=1, **{key: value})
+        body, whole = tiny_retrieval_pair["body"], tiny_retrieval_pair["whole"]
+        pattern = f"{key}={value} .*={frozen}$"
+        train = [s for s in tiny_corpus if s.split == "train"][:2]
+        with pytest.raises(ParameterError, match=pattern):
+            train_generator(train, tiny_tokenizer, body, whole, cfg)
+        model = MaskedGenerator(cfg)
+        model.cond_encoder = whole
+        with pytest.raises(ParameterError, match=pattern):
+            generate(model, tiny_tokenizer, tiny_corpus[0].track, GenerationConfig(iterations=2))
+        assert model.forward_count == 0
 
 
 class TestTapeFree:

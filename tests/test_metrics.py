@@ -367,6 +367,24 @@ class TestFeatureExtractor:
         with pytest.raises(ShapeError, match="differ in length \\(40, 44\\)"):
             train_extractor(clips, ExtractorConfig(steps=1))
 
+    def test_training_clips_of_another_width(self, monkeypatch):
+        def no_model(config):
+            raise AssertionError("training started before the inputs were checked")
+
+        monkeypatch.setattr(metrics, "MotionFeatureExtractor", no_model)
+        clips = [np.zeros((40, 500))] * 3
+        with pytest.raises(ShapeError, match=f"500 wide.*takes {FRAME_WIDTH}"):
+            train_extractor(clips, ExtractorConfig(steps=1))
+
+    def test_feature_clips_of_another_width(self, extractor, monkeypatch):
+        def no_encode(frames):
+            raise AssertionError("a clip was encoded before the inputs were checked")
+
+        monkeypatch.setattr(extractor, "encode_batch", no_encode)
+        clips = [np.zeros((40, FRAME_WIDTH)), np.zeros((40, 500))]
+        with pytest.raises(ShapeError, match=f"500 wide.*takes {FRAME_WIDTH}"):
+            motion_features(extractor, clips)
+
     def test_short_clips(self, extractor):
         with pytest.raises(TooShortError, match="3 frames"):
             train_extractor([np.zeros((3, FRAME_WIDTH))] * 2, ExtractorConfig(hidden=8, steps=1))

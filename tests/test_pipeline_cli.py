@@ -1,6 +1,7 @@
 """Config round trips, seed fan-out, stage orchestration, CLI surface."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,38 @@ class TestConfig:
                  cfg.mmr_whole.seed, cfg.magm.seed, cfg.extractor.seed,
                  cfg.generation.seed}
         assert len(seeds) == 7  # distinct stage streams
+
+    # each removed field at the constant the code now runs; a JSON list
+    # stands where the field held a tuple
+    RETIRED_ECHOES = [("hrvq", "ema_decay", 0.99),
+                      ("mmr_body", "filter_warmup_frac", 0.5),
+                      ("mmr_whole", "filter_warmup_frac", 0.5),
+                      ("magm", "cond_drop", 0.1), ("magm", "gumbel_start", 1.0),
+                      ("magm", "gumbel_end", 0.1), ("magm", "max_tokens", 256),
+                      ("generation", "temperature_start", 1.0),
+                      ("generation", "temperature_end", 0.0),
+                      ("corpus", "emotions", [0, 1, 2, 3, 4, 5, 6])]
+
+    @pytest.mark.parametrize("section, key, value", RETIRED_ECHOES)
+    def test_retired_key_at_its_constant_loads(self, section, key, value):
+        assert RunConfig.from_dict({section: {key: value}}) == RunConfig()
+
+    @pytest.mark.parametrize("section, key, value", RETIRED_ECHOES)
+    def test_retired_key_at_another_value_rejected(self, section, key, value):
+        from dancegen.errors import ParameterError
+
+        other = value[:3] if isinstance(value, list) else value + 0.25
+        with pytest.raises(ParameterError, match=f"{section}.{key}"):
+            RunConfig.from_dict({section: {key: other}})
+
+    @pytest.mark.parametrize("override", ["hrvq.layers=abc", "hrvq.lr=fast",
+                                          "magm.depth=2.5", "corpus.genres=[0,"])
+    def test_bad_override_value_names_key_and_value(self, override):
+        from dancegen.errors import ParameterError
+
+        key, raw = override.split("=", 1)
+        with pytest.raises(ParameterError, match=f"{re.escape(key)}={re.escape(repr(raw))}"):
+            apply_overrides(micro_config("x"), [override])
 
     def test_paper_constants_are_defaults(self):
         cfg = RunConfig()
@@ -254,6 +287,14 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "n_frames" in lines[0]
+
+    def test_bad_set_value_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert cli_main(["gen-corpus", "--out-dir", str(out), "--set", "hrvq.layers=abc"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "hrvq.layers='abc'" in lines[0]
+        assert not out.exists()
 
     def test_generate_cli_with_csv_export(self, tmp_path, micro_run):
         cfg, _ = micro_run
