@@ -4,6 +4,7 @@ section, and the clip-length check of the trainers that stack their clips."""
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 
 class DanceGenError(Exception):
@@ -90,7 +91,11 @@ def read_config(cls, section: str, doc: dict, base=None):
     dict as section `key`.  A key in `cls.RETIRED` (a removed field) is
     dropped when it holds the one value the code still runs, or any value
     where that table holds None; any other value raises ParameterError, and
-    so does an unknown key, each named `section.key`."""
+    so does an unknown key, a section that is not a dict and a value whose
+    type does not fit the field's (see `_fits`), each named `section.key`."""
+    if not isinstance(doc, dict):
+        raise ParameterError(f"config section {section!r} must be a JSON object, "
+                             f"got {type(doc).__name__}")
     base = cls() if base is None else base
     retired = getattr(cls, "RETIRED", {})
     known = {f.name for f in dataclasses.fields(cls)}
@@ -107,9 +112,40 @@ def read_config(cls, section: str, doc: dict, base=None):
         if key not in known:
             raise ParameterError(f"unknown config key {name!r}")
         current = getattr(base, key)
-        kept[key] = (read_config(type(current), key, value, current)
-                     if dataclasses.is_dataclass(current) else value)
+        if dataclasses.is_dataclass(current):
+            kept[key] = read_config(type(current), key, value, current)
+            continue
+        if not _fits(value, current):
+            raise ParameterError(f"config key {name}={value!r} must be a "
+                                 f"{type(current).__name__}")
+        kept[key] = value
     return dataclasses.replace(base, **kept)
+
+
+def _fits(value, default) -> bool:
+    """Whether `value` may stand in a field whose default is `default`: an
+    integer for an int (a bool is not one), any real number, integers
+    included, for a float and a tuple for a tuple.  numpy scalars count as
+    numbers; other fields take any value."""
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, numbers.Integral):
+        return isinstance(value, numbers.Integral)
+    if isinstance(default, numbers.Real):
+        return isinstance(value, numbers.Real)
+    if isinstance(default, tuple):
+        return isinstance(value, tuple)
+    return True
+
+
+def check_minimums(config, **floors) -> None:
+    """Raise ParameterError naming the field when a field of `config` lies
+    below its floor in `floors`."""
+    for key, floor in floors.items():
+        value = getattr(config, key)
+        if value < floor:
+            raise ParameterError(f"{type(config).__name__}.{key} must be >= {floor}, "
+                                 f"got {value!r}")
 
 
 def check_same_length(what: str, clips) -> None:

@@ -23,6 +23,7 @@ from .errors import (
     ParameterError,
     TooShortError,
     TrainingFailureError,
+    check_minimums,
     read_config,
 )
 from .motion import MotionSequence
@@ -73,10 +74,7 @@ class GenerationConfig:
     RETIRED = {"temperature_start": TEMPERATURE_START, "temperature_end": TEMPERATURE_END}
 
     def __post_init__(self):
-        if self.cfg_scale_base < 0 or self.cfg_scale_residual < 0:
-            raise ParameterError("cfg scales must be >= 0")
-        if self.iterations < 1:
-            raise ParameterError("iterations must be >= 1")
+        check_minimums(self, cfg_scale_base=0.0, cfg_scale_residual=0.0, iterations=1)
 
 
 def unmask_schedule(u: float) -> float:

@@ -21,6 +21,7 @@ from .errors import (
     ShapeError,
     TooShortError,
     TrainingFailureError,
+    check_minimums,
     check_same_length,
     read_config,
 )
@@ -248,6 +249,9 @@ class ExtractorConfig:
     lr: float = 1e-3
     warmup_steps: int = 20
     seed: int = 0
+
+    def __post_init__(self):
+        check_minimums(self, batch=1)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -25,6 +25,7 @@ from .errors import (
     TooShortError,
     TrainingFailureError,
     VariantError,
+    check_minimums,
     check_same_length,
     read_config,
 )
@@ -65,6 +66,7 @@ class RetrievalConfig:
     def __post_init__(self):
         if self.variant not in VARIANT_WIDTHS:
             raise ParameterError(f"unknown variant {self.variant!r}")
+        check_minimums(self, batch=1)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -99,16 +99,15 @@ def accept_frames(accept_corpus):
     return np.stack([s.motion.data for s in split_of(accept_corpus, "train")])
 
 
-def _codec_config(conditioning: str, layers: int) -> TokenizerConfig:
+def _codec_config(layers: int) -> TokenizerConfig:
     return TokenizerConfig(codebook_size=512, code_dim=128, layers=layers, hidden=32,
                            steps=250, batch=8, crop_frames=64, lr=1e-3, warmup_steps=20,
-                           conditioning=conditioning, enc_lr_scale=0.2, seed=CODEC_SEED,
-                           anchor_seqs=32, final_seqs=128)
+                           enc_lr_scale=0.2, seed=CODEC_SEED, anchor_seqs=32, final_seqs=128)
 
 
 @pytest.fixture(scope="session")
 def codec_hrvq(accept_frames):
-    return train_tokenizer(accept_frames, _codec_config("chain", V_LAYERS))
+    return train_tokenizer(accept_frames, _codec_config(V_LAYERS))
 
 
 @pytest.fixture(scope="session")
@@ -118,11 +117,11 @@ def budget_frames(budget_corpus):
 
 @pytest.fixture(scope="session")
 def budget_codecs(budget_frames):
-    return {
-        "hrvq": train_tokenizer(budget_frames, _codec_config("chain", V_LAYERS)),
-        "rvq": train_tokenizer(budget_frames, _codec_config("none", V_LAYERS)),
-        "vq": train_tokenizer(budget_frames, _codec_config("none", 0)),
-    }
+    # the codec keeps no cross-part chain, so the HRVQ and RVQ arms are one
+    # model: the 6-layer residual stacks
+    stacks = train_tokenizer(budget_frames, _codec_config(V_LAYERS))
+    return {"hrvq": stacks, "rvq": stacks,
+            "vq": train_tokenizer(budget_frames, _codec_config(0))}
 
 
 @pytest.fixture(scope="session")
@@ -187,9 +186,7 @@ class TestCriterion2:
         worst = 0.0
         for trial in range(50):
             cfg = TokenizerConfig(codebook_size=24, code_dim=12,
-                                  layers=int(rng.integers(1, 6)), hidden=8,
-                                  conditioning="chain" if trial % 2 == 0 else "none",
-                                  seed=trial)
+                                  layers=int(rng.integers(1, 6)), hidden=8, seed=trial)
             model = MotionTokenizer(cfg)
             frames = rng.normal(size=(2, 16, FRAME_WIDTH))
             _init_codebooks(model, frames, rng)
@@ -611,7 +608,7 @@ class TestCriterion13:
 class TestTrainingSmoke:
     def test_recon_improves_at_acceptance_scale(self, accept_frames, codec_hrvq):
         batch = accept_frames[:16]
-        virgin = MotionTokenizer(_codec_config("chain", V_LAYERS))
+        virgin = MotionTokenizer(_codec_config(V_LAYERS))
         virgin.set_normalizer(accept_frames.reshape(-1, FRAME_WIDTH))
         initial = float(tokenizer_loss(virgin, batch).recon.data)
         final = float(tokenizer_loss(codec_hrvq, batch).recon.data)

@@ -1,5 +1,7 @@
 """Closed-form oracles and property checks for the evaluation suite."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from dancegen.metrics import (
     train_extractor,
 )
 from dancegen.motion import FRAME_WIDTH, JV, MotionSequence
+from dancegen.pipeline import RunConfig
 from dancegen.synth import EMOTION_CENTROIDS
 
 
@@ -353,6 +356,15 @@ class TestFeatureExtractor:
                         extractor.state())
         with pytest.raises(ParameterError, match="extractor.bogus"):
             load_extractor(path)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ExtractorConfig(batch=0),
+        lambda: dataclasses.replace(ExtractorConfig(), batch=0),
+        lambda: RunConfig.from_dict({"extractor": {"batch": 0}}),
+    ], ids=["constructor", "replace", "read_config"])
+    def test_batch_below_one_rejected(self, make):
+        with pytest.raises(ParameterError, match="ExtractorConfig.batch must be >= 1"):
+            make()
 
     def test_empty_training_set(self):
         with pytest.raises(ParameterError, match="empty training set"):

@@ -95,6 +95,41 @@ class TestConfig:
         with pytest.raises(ParameterError, match="hrvg"):
             RunConfig.from_dict({"hrvg": {"layers": 2}})
 
+    # a section that is not an object, or a value whose type does not fit
+    # its field, and the section or key each error must name
+    MALFORMED = [({"hrvq": 5}, "'hrvq'"), ([{"seed": 1}], "'run'"),
+                 ({"generation": {"iterations": "3"}}, "generation.iterations='3'"),
+                 ({"hrvq": {"layers": "abc"}}, "hrvq.layers='abc'"),
+                 ({"hrvq": {"layers": True}}, "hrvq.layers=True"),
+                 ({"hrvq": {"layers": 2.0}}, "hrvq.layers=2.0"),
+                 ({"hrvq": {"lr": "fast"}}, "hrvq.lr='fast'"),
+                 ({"corpus": {"genres": 3}}, "corpus.genres=3")]
+
+    @pytest.mark.parametrize("doc, name", MALFORMED)
+    def test_malformed_section_or_value_names_it(self, doc, name, tmp_path):
+        from dancegen.errors import ParameterError
+        from dancegen.pipeline import load_config
+
+        with pytest.raises(ParameterError, match=re.escape(name)):
+            RunConfig.from_dict(doc)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParameterError, match=re.escape(name)):
+            load_config(path)
+
+    def test_section_override_rejected(self):
+        from dancegen.errors import ParameterError
+
+        with pytest.raises(ParameterError, match="'hrvq' must be a JSON object"):
+            apply_overrides(micro_config("x"), ["hrvq=3"])
+
+    def test_numbers_of_any_kind_fit_number_fields(self):
+        cfg = RunConfig.from_dict({"hrvq": {"lr": 1, "layers": np.int64(3),
+                                            "dropout_q": np.float32(0.5)},
+                                   "corpus": {"bpm_range": [90, 130]}})
+        assert (cfg.hrvq.lr, cfg.hrvq.layers, cfg.hrvq.dropout_q) == (1, 3, 0.5)
+        assert cfg.corpus.bpm_range == (90, 130)
+
     def test_partial_sections_keep_defaults(self):
         cfg = RunConfig.from_dict({"corpus": {"n_samples": 7}, "magm": {"depth": 3}})
         assert cfg.corpus == CorpusConfig(n_samples=7)
@@ -294,6 +329,14 @@ class TestCli:
         lines = capsys.readouterr().err.strip().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error:") and "hrvq.layers='abc'" in lines[0]
+        assert not out.exists()
+
+    def test_section_set_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert cli_main(["run-pipeline", "--out-dir", str(out), "--set", "hrvq=3"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "'hrvq'" in lines[0]
         assert not out.exists()
 
     def test_generate_cli_with_csv_export(self, tmp_path, micro_run):

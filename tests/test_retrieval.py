@@ -5,6 +5,8 @@ import signal
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from dancegen.errors import (
 from dancegen import retrieval
 from dancegen.motion import FRAME_WIDTH, MotionSequence, default_spans
 from dancegen.nn import Tensor
+from dancegen.pipeline import RunConfig
 from dancegen.retrieval import (
     DualEncoder,
     RetrievalConfig,
@@ -247,6 +250,15 @@ class TestMalformedInputs:
     @pytest.fixture(scope="class")
     def model(self):
         return DualEncoder(RetrievalConfig(hidden=16))
+
+    @pytest.mark.parametrize("make", [
+        lambda: RetrievalConfig(batch=0),
+        lambda: dataclasses.replace(RetrievalConfig(variant="body"), batch=0),
+        lambda: RunConfig.from_dict({"mmr_whole": {"batch": 0}}),
+    ], ids=["constructor", "replace", "read_config"])
+    def test_batch_below_one_rejected(self, make):
+        with pytest.raises(ParameterError, match="RetrievalConfig.batch must be >= 1"):
+            make()
 
     @pytest.mark.parametrize("frames", [0, 1, 3])
     def test_encode_motion_short_clip(self, model, frames):

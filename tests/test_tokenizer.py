@@ -1,5 +1,7 @@
 """Quantizer oracle, residual ladder identities, codec contracts, training."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from dancegen.tokenizer import (
     MotionTokenizer,
     TokenGrid,
     TokenizerConfig,
-    _Mixer,
     decode,
     encode,
     load_tokenizer,
@@ -104,8 +105,7 @@ class TestEncodeDecode:
         rng = np.random.default_rng(5)
         for trial in range(6):
             cfg = TokenizerConfig(codebook_size=32, code_dim=16, layers=int(rng.integers(1, 4)),
-                                  hidden=12, seed=trial,
-                                  conditioning="chain" if trial % 2 == 0 else "none")
+                                  hidden=12, seed=trial)
             model = MotionTokenizer(cfg)
             frames = rng.normal(size=(2, 16, FRAME_WIDTH))
             from dancegen.tokenizer import _init_codebooks
@@ -178,8 +178,7 @@ class TestEncodeDecode:
 class TestVqDegeneration:
     def test_single_layer_equals_plain_vq(self):
         rng = np.random.default_rng(8)
-        cfg = TokenizerConfig(codebook_size=32, code_dim=16, layers=0, hidden=12,
-                              conditioning="none", seed=9)
+        cfg = TokenizerConfig(codebook_size=32, code_dim=16, layers=0, hidden=12, seed=9)
         model = MotionTokenizer(cfg)
         frames = rng.normal(size=(2, 16, FRAME_WIDTH))
         from dancegen.tokenizer import _init_codebooks
@@ -322,48 +321,9 @@ class TestTraining:
                                       decode(back, grid).data)
 
 
-def _chain_config(**overrides) -> TokenizerConfig:
-    base = dict(codebook_size=32, code_dim=16, layers=2, hidden=12, steps=8, batch=4,
-                crop_frames=32, seed=13, refit_every=4, warmup_steps=2, conditioning="chain")
-    return TokenizerConfig(**{**base, **overrides})
-
-
-class TestTrainableChain:
-    @pytest.fixture(scope="class")
-    def mixed(self, tiny_train_frames):
-        return train_tokenizer(tiny_train_frames, _chain_config(mixer_lr_scale=1.0))
-
-    def test_frozen_chain_is_plain_stacks(self, tiny_train_frames):
-        chain = train_tokenizer(tiny_train_frames, _chain_config())
-        plain = train_tokenizer(tiny_train_frames, _chain_config(conditioning="none"))
-        assert chain.mixers == {}
-        a, b = chain.state(), plain.state()
-        assert sorted(a) == sorted(b)
-        for key in a:
-            np.testing.assert_array_equal(a[key], b[key], err_msg=key)
-
-    def test_mixers_leave_identity(self, mixed):
-        assert sorted(mixed.mixers) == ["face", "hand"]
-        for part, mixers in mixed.mixers.items():
-            assert len(mixers) == mixed.config.layers + 2
-            for slot, m in enumerate(mixers):
-                assert np.any(m.conv.weight.data != 0.0), (part, slot)
-
-    def test_telescoping_and_roundtrip(self, mixed, tiny_corpus, tmp_path):
-        seq = tiny_corpus[0].motion
-        res = encode(mixed, seq)
-        for part in ("body", "hand", "face"):
-            total = sum(res.quantized[part]) + res.final_residual[part]
-            assert np.abs(total - res.initial[part]).max() < 1e-5
-        path = tmp_path / "mixed.snc"
-        save_tokenizer(path, mixed)
-        back = load_tokenizer(path)
-        np.testing.assert_array_equal(encode(back, seq).grid.indices, res.grid.indices)
-
-
 def _earlier_layout_arrays(cfg: TokenizerConfig) -> dict[str, np.ndarray]:
     """Arrays that checkpoints of the earlier tokenizer layout also hold: the
-    decoder's conv trunk, identity chain mixers and constant-norm scales."""
+    decoder's conv trunk, the chain's mixers and constant-norm scales."""
     rng = np.random.default_rng(0)
     d, hid = cfg.code_dim, cfg.hidden
     trunk = {"conv0": nn.Conv1d(3 * d, hid, 3, rng, padding=1), "res1": nn.ResConv1d(hid, rng),
@@ -373,14 +333,17 @@ def _earlier_layout_arrays(cfg: TokenizerConfig) -> dict[str, np.ndarray]:
     out = {f"decoder.{name}.{k}": v for name, m in trunk.items() for k, v in m.state().items()}
     for part in ("hand", "face"):
         for slot in range(cfg.layers + 2):
-            out.update({f"{part}_mixers.{slot}.{k}": v
-                        for k, v in _Mixer(d, rng).state().items()})
+            mixer = {"fc1": nn.Conv1d(2 * d, d, 1, rng), "fc2": nn.Conv1d(d, d, 1, rng),
+                     "conv": nn.Conv1d(d, d, 3, rng, padding=1)}
+            out.update({f"{part}_mixers.{slot}.{name}.{k}": v
+                        for name, m in mixer.items() for k, v in m.state().items()})
     out["norm.enc_scales"] = np.ones(3)
     return out
 
 
 EARLIER_DEFAULTS = {"estimator": "st", "latent_norm": "rms", "dec_lr_scale": 0.0,
-                    "gumbel_start": 1.0, "gumbel_end": 0.1}
+                    "gumbel_start": 1.0, "gumbel_end": 0.1, "conditioning": "chain",
+                    "mixer_lr_scale": 0.0}
 
 
 class TestCheckpointCompat:
@@ -401,9 +364,19 @@ class TestCheckpointCompat:
         doc["hrvq"].update(EARLIER_DEFAULTS)
         assert RunConfig.from_dict(doc).hrvq == TokenizerConfig()
 
+    def test_plain_stack_config_loads(self, tiny_tokenizer, tmp_path):
+        # at mixer_lr_scale 0 both conditioning values ran plain stacks
+        cfg = tiny_tokenizer.config
+        doc = {**cfg.to_dict(), **EARLIER_DEFAULTS, "conditioning": "none"}
+        path = tmp_path / "plain.snc"
+        save_checkpoint(path, "tokenizer", doc, cfg.seed, tiny_tokenizer.state())
+        assert load_tokenizer(path).config == cfg
+        assert RunConfig.from_dict({"hrvq": doc}).hrvq == cfg
+
     @pytest.mark.parametrize("key, value", [("latent_norm", "const"),
                                             ("estimator", "gumbel"),
-                                            ("dec_lr_scale", 0.5)])
+                                            ("dec_lr_scale", 0.5),
+                                            ("mixer_lr_scale", 1.0)])
     def test_retired_behaviour_rejected(self, tiny_tokenizer, tmp_path, key, value):
         cfg = tiny_tokenizer.config
         path = tmp_path / "retired.snc"
@@ -413,6 +386,22 @@ class TestCheckpointCompat:
             load_tokenizer(path)
         with pytest.raises(ParameterError, match=key):
             RunConfig.from_dict({"hrvq": {key: value}})
+
+    @pytest.mark.parametrize("key, value", [("batch", 0), ("layers", -1), ("codebook_size", 0),
+                                            ("code_dim", 0), ("hidden", 0), ("crop_frames", -4)])
+    def test_out_of_range_field_rejected(self, tiny_tokenizer, tmp_path, key, value):
+        with pytest.raises(ParameterError, match=f"TokenizerConfig.{key} must be"):
+            TokenizerConfig(**{key: value})
+        with pytest.raises(ParameterError, match=f"TokenizerConfig.{key} must be"):
+            dataclasses.replace(tiny_tokenizer.config, **{key: value})
+        with pytest.raises(ParameterError, match=f"TokenizerConfig.{key} must be"):
+            RunConfig.from_dict({"hrvq": {key: value}})
+        cfg = tiny_tokenizer.config
+        path = tmp_path / "range.snc"
+        save_checkpoint(path, "tokenizer", {**cfg.to_dict(), key: value}, cfg.seed,
+                        tiny_tokenizer.state())
+        with pytest.raises(ParameterError, match=f"TokenizerConfig.{key} must be"):
+            load_tokenizer(path)
 
     def test_unknown_config_key_rejected(self, tiny_tokenizer, tmp_path):
         cfg = tiny_tokenizer.config
