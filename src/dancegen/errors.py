@@ -92,7 +92,7 @@ def read_config(cls, section: str, doc: dict, base=None):
     dropped when it holds the one value the code still runs, or any value
     where that table holds None; any other value raises ParameterError, and
     so does an unknown key, a section that is not a dict and a value whose
-    type does not fit the field's (see `_fits`), each named `section.key`."""
+    type does not fit the field's (see `fits`), each named `section.key`."""
     if not isinstance(doc, dict):
         raise ParameterError(f"config section {section!r} must be a JSON object, "
                              f"got {type(doc).__name__}")
@@ -115,14 +115,14 @@ def read_config(cls, section: str, doc: dict, base=None):
         if dataclasses.is_dataclass(current):
             kept[key] = read_config(type(current), key, value, current)
             continue
-        if not _fits(value, current):
+        if not fits(value, current):
             raise ParameterError(f"config key {name}={value!r} must be a "
                                  f"{type(current).__name__}")
         kept[key] = value
     return dataclasses.replace(base, **kept)
 
 
-def _fits(value, default) -> bool:
+def fits(value, default) -> bool:
     """Whether `value` may stand in a field whose default is `default`: an
     integer for an int (a bool is not one), any real number, integers
     included, for a float and a tuple for a tuple.  numpy scalars count as

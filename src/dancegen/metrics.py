@@ -251,6 +251,9 @@ class ExtractorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.channels not in ("whole", "hand"):
+            raise ParameterError(f"ExtractorConfig.channels must be 'whole' or 'hand', "
+                                 f"got {self.channels!r}")
         check_minimums(self, batch=1)
 
     def to_dict(self) -> dict:

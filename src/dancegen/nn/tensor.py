@@ -17,7 +17,10 @@ weight gradient rebuilds that matrix, with the same bits.  `linear`, which
 `nn.Linear` calls, is one node for `x @ W + b`.  Its weight gradient is
 summed item by item over the leading axes of x into one (in, out) buffer,
 not formed as a stack of per-item products and then summed; the bits are
-those of the two-op graph.
+those of the two-op graph.  `gelu`'s x**3 comes from `cube`, which gives
+numpy's pow bits without its slow path for negative bases: it rounds each
+negative entry's long-double cube once, and leaves to numpy's pow the few
+whose rounding that cube cannot settle.
 
 Inference runs tape-free under `no_grad()`: ops compute the same values but
 record no parents or backward closures, so nothing is kept alive for a
@@ -60,94 +63,49 @@ def no_grad():
         _grad_enabled = previous
 
 
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for float64
-_EXPONENT_BITS = np.int64(0x7FF0000000000000)
-_MIDPOINT_WINDOW = 2.0**-57  # times 2**exponent: 1/32 ulp
-_CUBE_CHUNK = 8192  # elements per pass: the work buffers stay in cache
+# cube's long-double products must round to 64 or more bits, as x87 80-bit and
+# IEEE quad do; elsewhere (MSVC, Apple arm64, an x87 set to 53 bits) it uses x**3
+_LONG_DOUBLE_CUBE = bool(np.longdouble(1) + np.longdouble(2.0**-63) != 1)
+_CUBE_CHUNK = 4096  # elements per pass: no temporary exceeds 64 KiB at any input size
 
 
 def cube(x: Array) -> Array:
-    """x**3, bit for bit as numpy's pow computes it, in half to two thirds of the time.
+    """x**3, bit for bit as numpy's pow computes it, in less time.
 
     numpy's float64 pow is quick for non-negative bases but takes a slow
-    path for negative ones, and half of every gelu input is negative.  Here
-    |x|**3 is formed in double-double arithmetic (Veltkamp's split, Dekker's
-    exact products) and rounded once, which gives the correctly rounded
-    cube; negative entries take it with their sign.  Any pow that is within
-    0.5 + 1/32 ulp of the exact cube agrees with that value unless the exact
-    cube lies within 1/32 ulp of a rounding midpoint.  numpy's pow for
-    negative bases stayed within 0.5 + 0.013 ulp on 2e8 samples.  Entries
-    near a midpoint (about 6%), -0.0, non-finite values and magnitudes where
-    the products could overflow or underflow are left to numpy's pow, and
-    so are all non-negative ones.  Matching numpy's bits keeps trained
-    models bitwise reproducible; tests/test_nn.py checks the match."""
+    path for negative ones, and half of every gelu input is negative.  Each
+    negative entry's cube r is formed in long double, two products each
+    rounded to 64 or more bits, so r is within 2**-63 relative of the exact
+    cube, which is at most 2**-10 ulp of the float64 cube.  With
+    w = r * 2**-57 (1/32 to 1/16 ulp), an entry whose r - w and r + w round
+    to the same float64 takes that value.  The exact cube is then at least
+    1/32 - 1/1024 ulp, a margin of about 0.03 ulp, from any rounding
+    midpoint, and numpy's pow for negative bases, which stayed within
+    0.5 + 0.013 ulp of the exact cube on 2e8 samples, rounds to that value.
+    The other negative entries (about 9% near a midpoint; -0.0, non-finite
+    values, and magnitudes outside (1e-90, 1e100), where the cube could
+    leave the normal float64 range) are left to numpy's pow, and the
+    non-negative ones take np.power of |x|.  Matching numpy's bits keeps
+    trained models bitwise reproducible; tests/test_nn.py checks the match."""
+    if not _LONG_DOUBLE_CUBE:
+        return x**3
     # out gets the memory layout x**3 would get, because the layout decides
     # the summation order of later reductions; both are walked in memory order
     out = np.empty_like(x)
     flat, flat_out = x.ravel(order="K"), out.ravel(order="K")
-    size = min(flat.size, _CUBE_CHUNK)
-    a, hi, lo, p, q, err, tail, t, u = np.empty((9, size))
-    flag, ok = np.empty((2, size), dtype=bool)
     for start in range(0, flat.size, _CUBE_CHUNK):
         xs, o = flat[start:start + _CUBE_CHUNK], flat_out[start:start + _CUBE_CHUNK]
-        if xs.size < size:
-            a, hi, lo, p, q, err, tail, t, u = (b[:xs.size] for b in (a, hi, lo, p, q, err, tail, t, u))
-            flag, ok = flag[:xs.size], ok[:xs.size]
-        np.abs(xs, out=a)
-        np.power(a, 3, out=o)
-        # a = hi + lo with 26-bit halves
-        np.multiply(a, _SPLIT, out=t)
-        np.subtract(t, a, out=hi)
-        np.subtract(t, hi, out=hi)
-        np.subtract(a, hi, out=lo)
-        # p + err = a*a exactly, then err*a is the part of a**3 that p*a misses
-        np.multiply(a, a, out=p)
-        np.multiply(hi, hi, out=err)
-        err -= p
-        np.multiply(hi, lo, out=t)
-        t *= 2.0
-        err += t
-        np.multiply(lo, lo, out=t)
-        err += t
-        err *= a
-        # q + tail = p*a exactly (u, p hold p's halves), then tail += err
-        np.multiply(p, a, out=q)
-        np.multiply(p, _SPLIT, out=t)
-        np.subtract(t, p, out=u)
-        np.subtract(t, u, out=u)
-        np.subtract(p, u, out=p)
-        np.multiply(u, hi, out=tail)
-        tail -= q
-        np.multiply(u, lo, out=t)
-        tail += t
-        np.multiply(p, hi, out=t)
-        tail += t
-        np.multiply(p, lo, out=t)
-        tail += t
-        tail += err
-        # a**3 = q + tail to ~2**-100; flag entries whose rounding a shift of
-        # the midpoint window would change, or out of the safe range
-        np.bitwise_and(q.view(np.int64), _EXPONENT_BITS, out=t.view(np.int64))
-        t *= _MIDPOINT_WINDOW
-        np.subtract(tail, t, out=u)
-        u += q
-        t += tail
-        t += q
-        np.not_equal(u, t, out=flag)
-        np.greater(a, 1e-90, out=ok)
-        ok &= a < 1e100
-        flag |= ~ok
-        # negative entries take -(q + tail); select without a data-dependent branch
-        np.add(q, tail, out=q)
-        np.signbit(xs, out=ok)
-        np.copyto(t, ok)
-        np.subtract(1.0, t, out=u)
-        u *= o
-        q *= t
-        q += u
-        np.copysign(q, xs, out=o)
-        if flag.any():
-            o[flag] = xs[flag] ** 3
+        np.abs(xs, out=o)
+        np.power(o, 3, out=o)
+        neg = np.flatnonzero(np.signbit(xs))
+        xn = xs[neg]
+        r = np.multiply(xn, xn, dtype=np.longdouble)
+        r *= xn
+        w = r * 2.0**-57
+        cubes = (r - w).astype(np.float64)
+        near = (cubes != (r + w).astype(np.float64)) | (xn >= -1e-90) | (xn <= -1e100)
+        cubes[near] = xn[near] ** 3
+        o[neg] = cubes
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, fits
 from .motion import (
     BODY_JOINTS,
     CONTACT,
@@ -314,6 +314,18 @@ class CorpusConfig:
     harmonics: int = _HARMONICS  # oscillators per joint in the genre banks
 
     RETIRED = {"emotions": EMOTIONS}
+
+    def __post_init__(self):
+        genres, bpm = self.genres, self.bpm_range
+        if not (isinstance(genres, tuple) and genres
+                and all(fits(g, 0) and 0 <= g < GENRE_COUNT for g in genres)):
+            raise ParameterError(f"CorpusConfig.genres must be a non-empty tuple of ints "
+                                 f"in [0, {GENRE_COUNT}), got {genres!r}")
+        if not (isinstance(bpm, tuple) and len(bpm) == 2
+                and all(fits(b, 0.0) for b in bpm)
+                and 60.0 <= bpm[0] <= bpm[1] <= 180.0):
+            raise ParameterError(f"CorpusConfig.bpm_range must be two numbers lo, hi with "
+                                 f"60 <= lo <= hi <= 180, generate_track's range, got {bpm!r}")
 
 
 def _largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:

@@ -366,6 +366,25 @@ class TestFeatureExtractor:
         with pytest.raises(ParameterError, match="ExtractorConfig.batch must be >= 1"):
             make()
 
+    @pytest.mark.parametrize("make", [
+        lambda: ExtractorConfig(channels="wole"),
+        lambda: dataclasses.replace(ExtractorConfig(), channels="wole"),
+        lambda: RunConfig.from_dict({"extractor": {"channels": "wole"}}),
+    ], ids=["constructor", "replace", "read_config"])
+    def test_unknown_channels_rejected(self, make):
+        with pytest.raises(ParameterError, match="ExtractorConfig.channels.*'wole'"):
+            make()
+
+    def test_checkpoint_with_unknown_channels_rejected(self, extractor, tmp_path):
+        from dancegen.io import save_checkpoint
+        from dancegen.metrics import load_extractor
+
+        path = tmp_path / "ex.snc"
+        save_checkpoint(path, "extractor", {**extractor.config.to_dict(), "channels": "wole"}, 0,
+                        extractor.state())
+        with pytest.raises(ParameterError, match="ExtractorConfig.channels.*'wole'"):
+            load_extractor(path)
+
     def test_empty_training_set(self):
         with pytest.raises(ParameterError, match="empty training set"):
             train_extractor([], ExtractorConfig(steps=1))

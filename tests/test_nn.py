@@ -1,5 +1,7 @@
 """Gradient checks for the autodiff core, op by op."""
 
+import platform
+import sys
 import tracemalloc
 
 import numpy as np
@@ -111,6 +113,29 @@ class TestCube:
                 out = nn.tensor.cube(x)
                 assert isinstance(out, np.ndarray)
                 assert _same_bits(out, np.asarray(x**3))
+
+    def test_bits_match_near_rounding_midpoints(self):
+        # cubes of short-significand inputs crowd rounding midpoints, and cubes
+        # of cube roots sit next to representable values
+        k = np.arange(1.0, 200_001.0)
+        root = np.cbrt(k)
+        x = -np.concatenate([k, k + 0.5, k / 1024, root, np.nextafter(root, 0.0),
+                             np.nextafter(root, np.inf)])
+        assert _same_bits(nn.tensor.cube(x), x**3)
+
+    def test_fallback_without_extended_long_double(self, monkeypatch):
+        monkeypatch.setattr(nn.tensor, "_LONG_DOUBLE_CUBE", False)
+        base = np.random.default_rng(21).normal(size=(6, 10, 8)) * 3.0
+        for x in (base, base.transpose(0, 2, 1), base[:, :, ::2], np.asfortranarray(base)):
+            out = nn.tensor.cube(x)
+            assert out.strides == (x**3).strides
+            assert _same_bits(out, x**3)
+
+    @pytest.mark.skipif(not (sys.platform == "linux" and platform.machine() == "x86_64"),
+                        reason="long double is known to be x87 80-bit only on x86-64 Linux")
+    def test_long_double_path_taken_on_x86_64_linux(self):
+        # the bit tests above check the long-double path only when it runs
+        assert nn.tensor._LONG_DOUBLE_CUBE
 
     def test_gelu_bits_unchanged(self):
         x = np.random.default_rng(19).normal(size=(2, 33, 64)) * 2.0

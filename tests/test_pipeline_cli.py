@@ -331,6 +331,14 @@ class TestCli:
         assert lines[0].startswith("error:") and "hrvq.layers='abc'" in lines[0]
         assert not out.exists()
 
+    def test_bad_corpus_range_is_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert cli_main(["gen-corpus", "--out-dir", str(out), "--set", "corpus.bpm_range=[1]"]) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "CorpusConfig.bpm_range" in lines[0]
+        assert not out.exists()
+
     def test_section_set_is_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert cli_main(["run-pipeline", "--out-dir", str(out), "--set", "hrvq=3"]) == 1

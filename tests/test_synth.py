@@ -150,3 +150,25 @@ class TestMakeCorpus:
     def test_durations_pair_up(self, tiny_corpus):
         for s in tiny_corpus:
             assert abs(s.motion.duration - s.track.duration) <= 1.0 / s.motion.fps
+
+
+class TestCorpusConfig:
+    # values that ended in a bare error from make_corpus, that generate_track
+    # refuses, or (True) that passed as genre 1
+    BAD = [("genres", []), ("genres", ["a"]), ("genres", [1.5]), ("genres", [15]),
+           ("genres", [True]), ("bpm_range", [1]), ("bpm_range", ["x", "y"]),
+           ("bpm_range", [50, 100]), ("bpm_range", [140, 100]), ("bpm_range", [100, 200])]
+
+    @pytest.mark.parametrize("key, value", BAD)
+    def test_bad_tuple_field_names_it(self, key, value):
+        from dancegen.pipeline import RunConfig
+
+        with pytest.raises(ParameterError, match=f"CorpusConfig.{key}"):
+            RunConfig.from_dict({"corpus": {key: value}})
+        with pytest.raises(ParameterError, match=f"CorpusConfig.{key}"):
+            CorpusConfig(**{key: tuple(value)})
+
+    def test_edges_of_the_ranges_accepted(self):
+        cfg = CorpusConfig(genres=(0, 14), bpm_range=(60, 180.0))
+        assert (cfg.genres, cfg.bpm_range) == ((0, 14), (60, 180.0))
+        assert CorpusConfig(bpm_range=(120, 120)).bpm_range == (120, 120)
