@@ -19,6 +19,7 @@ import numpy as np
 
 from . import nn
 from .errors import (
+    NumericInputError,
     PairingError,
     ParameterError,
     ShapeError,
@@ -40,6 +41,9 @@ _MEMO_BYTES = 8 << 20
 # bytes per piece of the memo's content digests: big enough that the pool's
 # cost per piece is small, small enough that one clip spreads over the CPUs
 _PIECE_BYTES = 1 << 20
+# bytes of its last call's arrays each side keeps, so that a repeat of them is
+# recognised by a byte comparison instead of sha256 (see _memo_encode)
+_REPEAT_BYTES = 32 << 20
 # share of training steps before negative filtering starts
 FILTER_WARMUP_FRAC = 0.5
 
@@ -161,6 +165,7 @@ class DualEncoder(nn.Module):
         self.music_std = np.ones(TRACK_FEATURE_DIM)
         self._memo: OrderedDict = OrderedDict()  # see _memo_encode; never saved
         self._memo_nbytes = 0
+        self._last_call: dict = {}  # side -> [(private copy, piece digests)]
 
     def set_normalizers(self, motions: np.ndarray, feats: np.ndarray) -> None:
         self.motion_mean, self.motion_std = nn.channel_stats(motions)
@@ -240,7 +245,36 @@ def _piece_digests(buffers: list[np.ndarray]) -> list[list[bytes]]:
     return [[next(digests) for _ in r] for r in starts]
 
 
-def _memo_encode(model: DualEncoder, side: str, batches: list) -> list[np.ndarray]:
+def _same_bytes(pair: tuple[np.ndarray, np.ndarray]) -> bool:
+    """Whether two C-contiguous float64 arrays hold the same bytes: -0.0 and
+    0.0 differ, a NaN equals the NaN of the same bits."""
+    a, b = pair
+    return np.array_equal(a.reshape(-1).view(np.uint64), b.reshape(-1).view(np.uint64))
+
+
+def _recall_digests(model: DualEncoder, side: str,
+                    arrays: list[np.ndarray]) -> list[list[bytes]]:
+    """`_piece_digests(arrays)`, reusing the digests of each array whose bytes
+    equal the copy at its place in the side's last call; only the others are
+    hashed.  The comparisons run on `_hash_pool` like the hashing.  The side
+    then remembers copies of the leading `arrays` that fit in _REPEAT_BYTES,
+    with their digests."""
+    last = model._last_call.get(side, [])
+    pairs = [(a, copy) for a, (copy, _) in zip(arrays, last)]
+    run = _hash_pool.map if sum(a.nbytes for a, _ in pairs) > _PIECE_BYTES else map
+    same = list(run(_same_bytes, pairs))
+    same += [False] * (len(arrays) - len(same))
+    fresh = iter(_piece_digests([a for a, s in zip(arrays, same) if not s]))
+    digests = [last[i][1] if s else next(fresh) for i, s in enumerate(same)]
+    keep = int(np.searchsorted(np.cumsum([a.nbytes for a in arrays]), _REPEAT_BYTES,
+                               side="right"))
+    model._last_call[side] = [(last[i][0] if same[i] else arrays[i].copy(), digests[i])
+                              for i in range(keep)]
+    return digests
+
+
+def _memo_encode(model: DualEncoder, side: str, batches: list,
+                 names: list[str] | None = None) -> list[np.ndarray]:
     """`encode_<side>_many(model, x)` for each batch x, computed once per
     model state and input content.
 
@@ -251,10 +285,20 @@ def _memo_encode(model: DualEncoder, side: str, batches: list) -> list[np.ndarra
     use (`_piece_digests`); a key is (state digest, input shape, sha256 of the
     input's piece digests), the same bits whatever the pool's size.  An
     in-place edit of a clip or a weight, `load_state` or `set_normalizers`
-    therefore misses instead of returning a stale latent.  The memo lives on
-    the model and keeps at most _MEMO_BYTES of results.  They are handed out
-    as copies, so callers may write into them.
+    therefore misses instead of returning a stale latent.
+
+    Each side keeps private copies of its last call's state and input arrays
+    with their piece digests, up to _REPEAT_BYTES in that order.  An array
+    whose bytes equal the copy at its place reuses the copy's digests, so a
+    repeated gallery is compared, not hashed; the keys are the same bits.
+
+    The memo lives on the model and keeps at most _MEMO_BYTES of results.
+    They are handed out as copies, so callers may write into them.  An input
+    that misses is checked to be finite before it is encoded; the error names
+    the batch by `names`, or as the side's input.
     """
+    if not batches:
+        return []
     enc, mean, std, encode = (
         (model.motion_enc, model.motion_mean, model.motion_std, encode_motion_many)
         if side == "motion" else
@@ -262,17 +306,20 @@ def _memo_encode(model: DualEncoder, side: str, batches: list) -> list[np.ndarra
     state = [np.ascontiguousarray(a, dtype=np.float64)
              for a in [p.data for p in enc.parameters()] + [enc.pool_center, mean, std]]
     inputs = [np.ascontiguousarray(x, dtype=np.float64) for x in batches]
-    digests = _piece_digests(state + inputs)
+    digests = _recall_digests(model, side, state + inputs)
     h = hashlib.sha256(f"{side}:{model.config.variant}".encode())
     for a, pieces in zip(state, digests):
         h.update(repr(a.shape).encode())
         h.update(b"".join(pieces))
     state_key = h.digest()
     memo, out = model._memo, []
-    for x, x64, pieces in zip(batches, inputs, digests[len(state):]):
+    names = names or [f"the {side} input"] * len(batches)
+    for x, x64, pieces, name in zip(batches, inputs, digests[len(state):], names):
         key = (state_key, x64.shape, hashlib.sha256(b"".join(pieces)).digest())
         z = memo.get(key)
         if z is None:
+            if not np.isfinite(x64).all():
+                raise NumericInputError(f"NaN or inf in {name}; the encoders need finite values")
             z = memo[key] = encode(model, x)
             model._memo_nbytes += z.nbytes
             while model._memo_nbytes > _MEMO_BYTES:
@@ -450,24 +497,33 @@ def retrieve(model: DualEncoder, query_track: MusicTrack, gallery: list, k: int)
     """Top-k gallery motions for a music query; returns (indices, similarities).
 
     Gallery items may be MotionSequence objects, (T, D) frame arrays, or
-    already-encoded latent vectors.
+    already-encoded latent vectors, all real; k is an integer.  NaN or inf in
+    an item raises NumericInputError naming it.
     """
     if not gallery:
         raise ParameterError("gallery is empty")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ParameterError(f"k={k!r} must be an integer")
     if not 1 <= k <= len(gallery):
         raise ParameterError(f"k={k} must lie in 1..{len(gallery)}, the gallery size")
     latents, pending, batches = [None] * len(gallery), [], []
     for i, g in enumerate(gallery):
         frames = g.data if isinstance(g, MotionSequence) else np.asarray(g)
+        if frames.dtype.kind not in "biuf":
+            raise ShapeError(f"gallery item {i} holds {frames.dtype} values: expected "
+                             f"real numbers")
         if frames.ndim == 2:
             pending.append(i)
             batches.append(frames[None])
         elif frames.shape == (model.config.latent_dim,):
+            if not np.isfinite(frames).all():
+                raise NumericInputError(f"NaN or inf in gallery item {i}, a latent")
             latents[i] = frames
         else:
             raise ShapeError(f"gallery item {i} has shape {frames.shape}: expected (T, D) "
                              f"frames or a ({model.config.latent_dim},) latent")
-    for i, z in zip(pending, _memo_encode(model, "motion", batches)):
+    names = [f"gallery item {i}" for i in pending]
+    for i, z in zip(pending, _memo_encode(model, "motion", batches, names)):
         latents[i] = z[0]
     c = encode_music(model, query_track)
     latents = np.stack(latents)

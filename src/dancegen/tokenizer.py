@@ -211,6 +211,8 @@ class _Decoder(nn.Module):
         self.c_out = c_out
         self.skip = nn.Conv1d(3 * d, DOWNSCALE * c_out, 1, rng)
         self.skip.weight.data *= 0.1
+        for p in self.skip.parameters():  # no step reads a gradient of the readout
+            p.requires_grad = False
 
     def __call__(self, x: Tensor) -> Tensor:
         B, _, n = x.shape

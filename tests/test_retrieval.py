@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from dancegen.errors import (
+    NumericInputError,
     PairingError,
     ParameterError,
     ShapeError,
@@ -699,3 +700,216 @@ class TestLatentMemo:
             order, sims = retrieve(model, track, gallery, k=4)
             np.testing.assert_array_equal(order, want)
             np.testing.assert_array_equal(sims, latents[want] @ c)
+
+
+class TestRepeatedCalls:
+    """Each side remembers copies of its last call's arrays with their piece
+    digests, so a repeated gallery is compared byte for byte, not hashed."""
+
+    @staticmethod
+    def _hashed(monkeypatch):
+        """The byte size of every buffer `_piece_digests` hashes from now on."""
+        sizes = []
+        piece_digests = retrieval._piece_digests
+
+        def counted(buffers):
+            sizes.extend(b.nbytes for b in buffers)
+            return piece_digests(buffers)
+        monkeypatch.setattr(retrieval, "_piece_digests", counted)
+        return sizes
+
+    @staticmethod
+    def _encoded(monkeypatch):
+        """The batches `encode_motion_many` and `encode_music_many` see."""
+        seen = {"motion": [], "music": []}
+        for side in seen:
+            def counted(model, x, side=side, fn=getattr(retrieval, f"encode_{side}_many")):
+                seen[side].append(np.array(x))
+                return fn(model, x)
+            monkeypatch.setattr(retrieval, f"encode_{side}_many", counted)
+        return seen
+
+    @staticmethod
+    def _uncached(model, track, gallery, k):
+        """What `retrieve` returns, from the uncached encoders."""
+        z = np.stack([encode_motion_many(model, m.data[None])[0] for m in gallery])
+        c = encode_music_many(model, track.features[None])[0]
+        order = rank_by_cosine(c, z)[:k]
+        return order, z[order] @ c
+
+    @pytest.fixture
+    def model(self, tiny_retrieval_pair, tmp_path):
+        save_retrieval(tmp_path / "copy.snc", tiny_retrieval_pair["whole"])
+        return load_retrieval(tmp_path / "copy.snc")
+
+    @pytest.fixture
+    def gallery(self, tiny_corpus):
+        return [MotionSequence(s.motion.data.copy()) for s in tiny_corpus[:5]]
+
+    def test_repeated_query_hashes_nothing(self, model, gallery, tiny_corpus, monkeypatch):
+        track = tiny_corpus[0].track
+        first = retrieve(model, track, gallery, k=3)
+        hashed, encoded = self._hashed(monkeypatch), self._encoded(monkeypatch)
+        second = retrieve(model, track, gallery, k=3)
+        assert hashed == [] and encoded == {"motion": [], "music": []}
+        for a, b in zip(first, second):
+            np.testing.assert_array_equal(a, b)
+
+    def test_new_query_hashes_only_its_features(self, model, gallery, tiny_corpus,
+                                                monkeypatch):
+        retrieve(model, tiny_corpus[0].track, gallery, k=3)
+        hashed = self._hashed(monkeypatch)
+        track = tiny_corpus[1].track
+        order, sims = retrieve(model, track, gallery, k=3)
+        assert hashed == [track.features.nbytes]
+        want = self._uncached(model, track, gallery, 3)
+        np.testing.assert_array_equal(order, want[0])
+        np.testing.assert_array_equal(sims, want[1])
+
+    def test_in_place_clip_edit_re_encodes_exactly_that_clip(self, model, gallery, tiny_corpus,
+                                                             monkeypatch):
+        track = tiny_corpus[0].track
+        retrieve(model, track, gallery, k=3)
+        hashed, encoded = self._hashed(monkeypatch), self._encoded(monkeypatch)
+        gallery[3].data[7, 11] += 0.125
+        order, sims = retrieve(model, track, gallery, k=3)
+        assert hashed == [gallery[3].data.nbytes]
+        assert len(encoded["motion"]) == 1 and encoded["music"] == []
+        np.testing.assert_array_equal(encoded["motion"][0][0], gallery[3].data)
+        want = self._uncached(model, track, gallery, 3)
+        np.testing.assert_array_equal(order, want[0])
+        np.testing.assert_array_equal(sims, want[1])
+
+    @pytest.mark.parametrize("edit", ["weight", "load_state", "set_normalizers"])
+    def test_state_change_between_repeats_re_encodes(self, model, gallery, tiny_corpus,
+                                                      monkeypatch, edit):
+        track = tiny_corpus[0].track
+        before = retrieve(model, track, gallery, k=3)
+        if edit == "weight":
+            model.motion_enc.conv1.weight.data[0, 0, 0] += 0.5
+            model.music_enc.conv1.weight.data[0, 0, 0] += 0.5
+        elif edit == "load_state":
+            model.load_state(DualEncoder(RetrievalConfig(hidden=24, seed=99)).state())
+        else:
+            model.set_normalizers(gallery[0].data, track.features)
+        encoded = self._encoded(monkeypatch)
+        after = retrieve(model, track, gallery, k=3)
+        assert len(encoded["motion"]) == len(gallery) and len(encoded["music"]) == 1
+        want = self._uncached(model, track, gallery, 3)
+        for got, expected in zip(after, want):
+            np.testing.assert_array_equal(got, expected)
+        assert not np.array_equal(after[1], before[1])
+
+    def test_signed_zeros_are_two_inputs(self, model, gallery, tiny_corpus, monkeypatch):
+        track = tiny_corpus[0].track
+        gallery[2].data[5, 7] = 0.0
+        retrieve(model, track, gallery, k=3)
+        hashed, encoded = self._hashed(monkeypatch), self._encoded(monkeypatch)
+        gallery[2].data[5, 7] = -0.0
+        retrieve(model, track, gallery, k=3)
+        assert hashed == [gallery[2].data.nbytes] and len(encoded["motion"]) == 1
+        gallery[2].data[5, 7] = 0.0  # back to the first bytes: hashed, then a memo hit
+        retrieve(model, track, gallery, k=3)
+        assert hashed == [gallery[2].data.nbytes] * 2 and len(encoded["motion"]) == 1
+        assert not retrieval._same_bytes((np.array([0.0]), np.array([-0.0])))
+
+    def test_writing_into_the_callers_array_leaves_the_copy(self, model, tiny_corpus):
+        frames = tiny_corpus[0].motion.data.copy()
+        encode_motion(model, frames)
+        copies = [copy for copy, _ in model._last_call["motion"]]
+        assert not any(np.shares_memory(frames, c) for c in copies)
+        frames[3:9] *= 2.0
+        np.testing.assert_array_equal(copies[-1][0], tiny_corpus[0].motion.data)
+        np.testing.assert_array_equal(encode_motion(model, frames),
+                                      encode_motion_many(model, frames[None])[0])
+
+    def test_latents_bit_equal_memoised_or_not(self, model, gallery, tiny_corpus):
+        track, other = tiny_corpus[0].track, tiny_corpus[1].track
+        for t in (track, track, other, track):  # miss, repeat, new query, repeat
+            want = self._uncached(model, t, gallery, 5)
+            for got, expected in zip(retrieve(model, t, gallery, k=5), want):
+                np.testing.assert_array_equal(got, expected)
+            motion = gallery[1]
+            np.testing.assert_array_equal(encode_motion(model, motion),
+                                          encode_motion_many(model, motion.data[None])[0])
+            np.testing.assert_array_equal(
+                segment_latents(model, t),
+                encode_music_many(model, TestLatentMemo._windows(t.features, t.feature_rate)))
+
+    def test_copies_stop_at_the_byte_cap(self, model, gallery, tiny_corpus, monkeypatch):
+        state = sum(np.asarray(a).nbytes for a in [p.data for p in model.motion_enc.parameters()]
+                    + [model.motion_enc.pool_center, model.motion_mean, model.motion_std])
+        clip = gallery[0].data.nbytes
+        monkeypatch.setattr(retrieval, "_REPEAT_BYTES", state + 2 * clip)
+        track = tiny_corpus[0].track
+        retrieve(model, track, gallery, k=3)
+        assert [c.nbytes for c, _ in model._last_call["motion"]][-2:] == [clip, clip]
+        assert sum(c.nbytes for c, _ in model._last_call["motion"]) == state + 2 * clip
+        hashed = self._hashed(monkeypatch)
+        order, sims = retrieve(model, track, gallery, k=3)
+        assert hashed == [m.data.nbytes for m in gallery[2:]]
+        want = self._uncached(model, track, gallery, 3)
+        np.testing.assert_array_equal(order, want[0])
+        np.testing.assert_array_equal(sims, want[1])
+
+    def test_latent_gallery_leaves_the_motion_side_alone(self, model, gallery, tiny_corpus):
+        latents = [encode_motion_many(model, m.data[None])[0] for m in gallery]
+        retrieve(model, tiny_corpus[0].track, latents, k=3)
+        assert "motion" not in model._last_call
+
+
+class TestRetrieveInputs:
+    """Non-finite inputs raise NumericInputError at every encoder entry point,
+    and `retrieve` takes only an integer k and real gallery items."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return DualEncoder(RetrievalConfig(hidden=16))
+
+    def test_nan_gallery_clip_is_named(self, model, tiny_corpus):
+        gallery = [MotionSequence(s.motion.data.copy()) for s in tiny_corpus[:3]]
+        gallery[1].data[4, 9] = np.nan
+        with pytest.raises(NumericInputError, match="gallery item 1"):
+            retrieve(model, tiny_corpus[0].track, gallery, k=2)
+
+    def test_non_finite_latent_item_is_named(self, model, tiny_corpus):
+        gallery = [np.full(256, 1 / 16), np.full(256, np.inf)]
+        with pytest.raises(NumericInputError, match="gallery item 1"):
+            retrieve(model, tiny_corpus[0].track, gallery, k=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_inputs_raise(self, model, tiny_corpus, bad):
+        sample = tiny_corpus[0]
+        frames = sample.motion.data.copy()
+        frames[2, 3] = bad
+        feats = sample.track.features.copy()
+        feats[5, 1] = bad
+        with pytest.raises(NumericInputError, match="motion input"):
+            encode_motion(model, frames)
+        with pytest.raises(NumericInputError, match="music input"):
+            encode_music(model, feats)
+        with pytest.raises(NumericInputError, match="music input"):
+            retrieve(model, feats, [sample.motion], k=1)
+        track = dataclasses.replace(sample.track, features=feats)
+        with pytest.raises(NumericInputError, match="music input"):
+            segment_latents(model, track)
+        motion = MotionSequence(sample.motion.data.copy())
+        motion.data[2, 3] = bad
+        with pytest.raises(NumericInputError, match="motion input"):
+            segment_latents(model, motion)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None])
+    def test_non_integer_k(self, model, tiny_corpus, k):
+        gallery = [s.motion for s in tiny_corpus[:3]]
+        with pytest.raises(ParameterError, match="must be an integer"):
+            retrieve(model, tiny_corpus[0].track, gallery, k=k)
+
+    def test_numpy_integer_k(self, model, tiny_corpus):
+        gallery = [s.motion for s in tiny_corpus[:3]]
+        order, sims = retrieve(model, tiny_corpus[0].track, gallery, k=np.int64(2))
+        assert order.shape == sims.shape == (2,)
+
+    def test_complex_latent_item(self, model, tiny_corpus):
+        gallery = [tiny_corpus[0].motion, np.full(256, 1 / 16, dtype=complex)]
+        with pytest.raises(ShapeError, match="gallery item 1"):
+            retrieve(model, tiny_corpus[0].track, gallery, k=1)

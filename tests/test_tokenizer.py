@@ -279,6 +279,15 @@ class TestTraining:
             assert ka == kb
             np.testing.assert_array_equal(va, vb)
 
+    def test_step_leaves_the_closed_form_readout_without_gradient(self, tiny_train_frames):
+        # only refit_decoder_bypass writes the readout, so no step computes
+        # its gradient; the encoders keep theirs from the last step
+        cfg = TokenizerConfig(codebook_size=16, code_dim=8, layers=1, hidden=8, steps=1,
+                              batch=2, seed=4, refit_every=0, final_passes=0, warmup_steps=1)
+        model = train_tokenizer(tiny_train_frames, cfg)
+        assert all(p.grad is None and not p.requires_grad for p in model.decoder.parameters())
+        assert all(p.grad is not None for m in model.encoders for p in m.parameters())
+
     def test_dropout_isolation(self, tiny_train_frames):
         # with its own rng stream, a no-drop draw at q=0.2 must match q=0
         base = dict(codebook_size=32, code_dim=16, layers=2, hidden=12,
