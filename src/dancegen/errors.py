@@ -140,10 +140,10 @@ def fits(value, default) -> bool:
 
 def check_minimums(config, **floors) -> None:
     """Raise ParameterError naming the field when a field of `config` lies
-    below its floor in `floors`."""
+    below its floor in `floors` or is NaN, which no comparison holds for."""
     for key, floor in floors.items():
         value = getattr(config, key)
-        if value < floor:
+        if not value >= floor:
             raise ParameterError(f"{type(config).__name__}.{key} must be >= {floor}, "
                                  f"got {value!r}")
 

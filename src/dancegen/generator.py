@@ -75,6 +75,10 @@ class GenerationConfig:
 
     def __post_init__(self):
         check_minimums(self, cfg_scale_base=0.0, cfg_scale_residual=0.0, iterations=1)
+        for key in ("cfg_scale_base", "cfg_scale_residual"):
+            if not np.isfinite(getattr(self, key)):
+                raise ParameterError(f"GenerationConfig.{key} must be finite, "
+                                     f"got {getattr(self, key)!r}")
 
 
 def unmask_schedule(u: float) -> float:

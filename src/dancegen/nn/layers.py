@@ -161,8 +161,22 @@ class SelfAttention(Module):
         return self.proj(out)
 
 
+def _tape_free_gelu(x: np.ndarray) -> np.ndarray:
+    """`Tensor.gelu`'s expression with x*x*x for its bit-exact `cube`, at a
+    small fraction of the cube's cost.  On 1e6 normal inputs 0.3% of the
+    entries differed from `Tensor.gelu`, each by at most one ulp of x."""
+    c = np.sqrt(2.0 / np.pi)
+    return 0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * (x * x * x))))
+
+
 class TransformerBlock(Module):
-    """Pre-norm block: attention then a GELU MLP four times the width."""
+    """Pre-norm block: attention then a GELU MLP four times the width.
+
+    Without the tape (under `no_grad`, which the generator's `generate` and
+    `masked_accuracy` run in) the MLP activation is `_tape_free_gelu` on raw
+    arrays, since those passes feed only argmax, sampling and confidence
+    ranking, and the cube is most of their cost.  With the tape it stays
+    `Tensor.gelu`, so training keeps numpy's pow bits."""
 
     def __init__(self, width: int, heads: int, rng: np.random.Generator):
         super().__init__()
@@ -174,7 +188,9 @@ class TransformerBlock(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         x = x + self.attn(self.norm1(x))
-        return x + self.fc2(self.fc1(self.norm2(x)).gelu())
+        h = self.fc1(self.norm2(x))
+        h = h.gelu() if T._grad_enabled else Tensor(_tape_free_gelu(h.data))
+        return x + self.fc2(h)
 
 
 class ResConv1d(Module):

@@ -34,6 +34,13 @@ finalisation passes and untrained-loss record of `train_tokenizer`;
 `DualEncoder.encode_motion_batch`/`encode_music_batch` keep the tape: the
 generator's alignment losses and retrieval training backpropagate through
 them.
+
+The one value that differs without the tape is the MLP activation of
+`nn.TransformerBlock`, which then cubes its GELU input as x*x*x, not
+through `cube`.  That cube was a third of generate's time, while the
+generator's logits are read only through argmax, sampling and confidence
+ranking, and their last-ulp changes moved no token on any benchmark or
+acceptance input.  Conv stacks and every taped pass keep `cube`'s bits.
 """
 
 from __future__ import annotations

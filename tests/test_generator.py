@@ -192,6 +192,26 @@ class TestLosses:
             checked += 1
 
 
+class TestGenerationConfig:
+    @pytest.mark.parametrize("field", ["cfg_scale_base", "cfg_scale_residual"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_cfg_scales_must_be_finite(self, field, value):
+        with pytest.raises(ParameterError, match=f"GenerationConfig.{field}"):
+            GenerationConfig(**{field: value})
+
+    def test_nan_fails_every_floor(self):
+        from dancegen.tokenizer import TokenizerConfig
+
+        with pytest.raises(ParameterError, match="TokenizerConfig.layers"):
+            TokenizerConfig(layers=float("nan"))
+        with pytest.raises(ParameterError, match="GenerationConfig.iterations"):
+            GenerationConfig(iterations=float("nan"))
+
+    def test_floors_and_large_scales_still_construct(self):
+        cfg = GenerationConfig(cfg_scale_base=0.0, cfg_scale_residual=1e300, iterations=1)
+        assert cfg.cfg_scale_residual == 1e300
+
+
 class TestGenerate:
     def test_cfg_identity_at_scale_one(self, tiny_generator, tiny_tokenizer, tiny_corpus):
         from dancegen.generator import _cfg_logits
@@ -409,6 +429,79 @@ class TestTapeFree:
         assert counts["taped"] == 0
         with tape_probe(force=True):
             assert masked_accuracy(tiny_generator, tiny_tokenizer, test, seed=2) == free
+
+    @staticmethod
+    def _exact_gelu(monkeypatch) -> list:
+        """Give tape-free transformer blocks `Tensor.gelu`'s bit-exact cube;
+        returns the list its calls are counted in."""
+        from dancegen.nn import Tensor, layers
+
+        calls = []
+
+        def exact(x):
+            calls.append(x.shape)
+            return Tensor(x).gelu().data
+
+        monkeypatch.setattr(layers, "_tape_free_gelu", exact)
+        return calls
+
+    def test_generate_is_bitwise_that_of_the_exact_gelu(self, tiny_generator, tiny_tokenizer,
+                                                        tiny_corpus, monkeypatch):
+        from dancegen import tokenizer
+
+        grids = []
+        decode = tokenizer.decode
+
+        def recording_decode(tok, grid):
+            grids.append(grid.indices.copy())
+            return decode(tok, grid)
+
+        monkeypatch.setattr(tokenizer, "decode", recording_decode)
+        tracks = [tiny_corpus[0].track, generate_track(seed=21, duration_s=6.5, bpm=112.0),
+                  generate_track(seed=22, duration_s=9.0, bpm=131.0)]
+
+        def run_all():
+            start = len(grids)
+            frames = [generate(tiny_generator, tiny_tokenizer, track,
+                               GenerationConfig(seed=seed)).data
+                      for track in tracks for seed in (3, 8)]
+            return grids[start:], frames
+
+        shipped = run_all()
+        calls = self._exact_gelu(monkeypatch)
+        exact = run_all()
+        assert calls
+        assert len(shipped[0]) == len(exact[0]) == 6
+        for a, b in zip(shipped[0] + shipped[1], exact[0] + exact[1]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_masked_accuracy_is_bitwise_that_of_the_exact_gelu(self, tiny_generator, tiny_tokenizer,
+                                                               tiny_corpus, monkeypatch):
+        preds = []
+        forward_base = tiny_generator.forward_base
+
+        def recording_forward(*args, **kwargs):
+            out = forward_base(*args, **kwargs)
+            preds.append(np.argmax(out.data, axis=-1))
+            return out
+
+        monkeypatch.setattr(tiny_generator, "forward_base", recording_forward)
+        test = [s for s in tiny_corpus if s.split == "test"][:3]
+
+        def run_all():
+            start = len(preds)
+            accs = [masked_accuracy(tiny_generator, tiny_tokenizer, test, seed=seed)
+                    for seed in (1, 2)]
+            return accs, preds[start:]
+
+        shipped = run_all()
+        calls = self._exact_gelu(monkeypatch)
+        exact = run_all()
+        assert calls
+        assert shipped[0] == exact[0]
+        assert len(shipped[1]) == len(exact[1]) == 6
+        for a, b in zip(shipped[1], exact[1]):
+            np.testing.assert_array_equal(a, b)
 
     def test_missing_condition_array_named(self, tiny_generator, tmp_path):
         path = tmp_path / "gen.snc"

@@ -342,6 +342,18 @@ class TestModules:
             assert p.grad is not None, name
         assert x.grad is not None
 
+    def test_tape_free_block_is_within_an_ulp_of_the_taped_block(self):
+        block = nn.TransformerBlock(16, 4, np.random.default_rng(14))
+        x = Tensor(np.random.default_rng(3).normal(size=(2, 9, 16)) * 2.0)
+        taped = block(x).data
+        h = x + block.attn(block.norm1(x))
+        exact = h + block.fc2(block.fc1(block.norm2(h)).gelu())  # Tensor.gelu, so cube
+        np.testing.assert_array_equal(taped, exact.data)
+        with nn.no_grad():
+            free = block(x).data
+        np.testing.assert_allclose(free, taped, rtol=1e-12, atol=0)
+        assert not np.array_equal(free, taped)  # the multiply cube did run
+
     def test_attention_width_must_divide_into_heads(self):
         with pytest.raises(ParameterError):
             nn.SelfAttention(10, 4, np.random.default_rng(0))

@@ -381,6 +381,25 @@ class TestCli:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flag", ["--cfg-scale-base", "--cfg-scale-residual"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_generate_cli_rejects_a_non_finite_cfg_scale(self, flag, value, tmp_path, capsys,
+                                                         micro_run):
+        _, report = micro_run
+        root = report.parent
+        track_rel = json.loads((root / "corpus" / "manifest.json").read_text())["samples"][0]["track"]
+        out = tmp_path / "g.sdm1"
+        code = cli_main(["generate", "--magm-ckpt", str(root / "magm.snc"),
+                         "--hrvq-ckpt", str(root / "hrvq.snc"),
+                         "--track", str(root / "corpus" / track_rel), "--out", str(out),
+                         flag, value])
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        field = flag[2:].replace("-", "_")
+        assert lines[0].startswith("error:") and f"GenerationConfig.{field}" in lines[0]
+        assert not out.exists()
+
     def test_retrieve_cli_rejects_k_below_one(self, capsys, micro_run):
         _, report = micro_run
         root = report.parent
